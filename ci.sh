@@ -53,6 +53,18 @@ run env RE_EXEC_THREADS=4 cargo test -q -p rankedenum --test frontier_differenti
 # enumeration sequences, on the cyclic workloads and random instances.
 run env RE_EXEC_THREADS=1 cargo test -q -p rankedenum --test wcoj_differential
 run env RE_EXEC_THREADS=4 cargo test -q -p rankedenum --test wcoj_differential
+# Prepared-part reuse is contractually byte-identical to a cold open: a
+# cursor on a shared prepared part (first, later, interleaved with
+# another, next to a cancelled one) equals the cold sequence with the same
+# frontier accounting, for every workload shape, at both thread counts.
+run env RE_EXEC_THREADS=1 cargo test -q -p rankedenum --test prepared_reuse
+run env RE_EXEC_THREADS=4 cargo test -q -p rankedenum --test prepared_reuse
+# The server's prepared-artifact cache end to end, on both wire
+# protocols: repeated OPENs reuse the cached part with identical answers
+# and parked bytes; failed prepares, armed failpoints and replaced
+# databases leave nothing reusable behind.
+run env RE_TRANSPORT=json cargo test -q -p re_server --test prepared_cache
+run env RE_TRANSPORT=binary cargo test -q -p re_server --test prepared_cache
 # Chaos suite: deterministic fault injection (RE_FAULT failpoints) against
 # the live server — typed overload/deadline/cancel errors, byte-identical
 # recovery after every injected fault, no leaked sessions, counters
@@ -87,6 +99,11 @@ run cargo bench -q -p re_bench --bench enum_frontier
 # protocol's solo p50 staying under JSON's, with a 25% drift guard
 # against BENCH_server_baseline.json.
 run cargo run -q --release -p re_bench --bin server_load
+# Cached vs cold in-process OPEN of the 2-hop at scale 10 (alternating
+# samples, pages cross-checked); writes BENCH_cache.json. check_bench
+# gates the cached/cold OPEN p50 ratio at <= 0.1 with a 25% drift guard
+# against BENCH_cache_baseline.json.
+run cargo run -q --release -p re_bench --bin cache_reuse
 run cargo run -q --release -p re_bench --bin check_bench
 # Drive the server end to end over real sockets at smoke scale.
 run env RE_SCALE=0.05 cargo run -q --release --example server_quickstart

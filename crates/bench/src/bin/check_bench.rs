@@ -43,6 +43,12 @@
 //!    against one server, so environment noise cancels out of the
 //!    ratio); the reactor/thread speedup and paired binary/JSON ratio
 //!    may drift at most 25% past `BENCH_server_baseline.json`.
+//! 8. **Prepared-artifact reuse** — `BENCH_cache.json`'s in-process 2-hop
+//!    OPEN at scale 10: a repeated OPEN served from the plan cache's
+//!    prepared artifact must cost at most 0.1× a cold OPEN (p50 against
+//!    p50, alternating samples, outputs cross-checked), and the
+//!    cached/cold ratio may drift at most 25% past
+//!    `BENCH_cache_baseline.json`.
 
 use std::path::Path;
 use std::process::exit;
@@ -64,6 +70,11 @@ const TTF_RATIO_BOUND: f64 = 0.10;
 /// thread-per-connection front-end's sessions/sec under the paced
 /// 64-client load (the event-driven-server PR acceptance bound).
 const SERVER_SPEEDUP_BOUND: f64 = 3.0;
+
+/// A repeated OPEN served from a cached prepared artifact must cost at
+/// most this fraction of a cold OPEN (the artifact-cache acceptance
+/// bound).
+const CACHE_RATIO_BOUND: f64 = 0.10;
 
 #[derive(Debug, Clone, PartialEq)]
 struct Entry {
@@ -541,6 +552,46 @@ fn check_server(fresh: &ServerReport, baseline: &ServerReport) -> Vec<String> {
     failures
 }
 
+/// `open_ratio` (cached ÷ cold OPEN p50) from a `cache_reuse` output.
+fn load_cache_ratio(path: &Path) -> f64 {
+    let parsed = std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|c| field_f64(&c, "open_ratio").ok_or_else(|| "no open_ratio".to_string()));
+    match parsed {
+        Ok(ratio) => ratio,
+        Err(e) => {
+            eprintln!("check_bench: cannot read {}: {e}", path.display());
+            exit(1);
+        }
+    }
+}
+
+/// The artifact-reuse gates over `BENCH_cache.json` (check 8 in the
+/// module docs). Returns human-readable failures.
+fn check_cache(fresh: f64, baseline: f64) -> Vec<String> {
+    let mut failures = Vec::new();
+    if fresh > CACHE_RATIO_BOUND {
+        failures.push(format!(
+            "2-hop cached OPEN costs {fresh:.4}x a cold OPEN (the cache demands <= {CACHE_RATIO_BOUND})"
+        ));
+    }
+    if fresh > baseline * (1.0 + TOLERANCE) {
+        failures.push(format!(
+            "2-hop cached/cold OPEN ratio regressed {baseline:.5} -> {fresh:.5} (> {:.0}% tolerance)",
+            TOLERANCE * 100.0
+        ));
+    }
+    if failures.is_empty() {
+        println!(
+            "ok: 2-hop cached OPEN {fresh:.5}x a cold OPEN ({:.0}x faster, baseline {baseline:.5}, \
+             tolerance {:.0}%)",
+            1.0 / fresh,
+            TOLERANCE * 100.0
+        );
+    }
+    failures
+}
+
 fn main() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let fresh = load(&root.join("BENCH_lexi.json"));
@@ -643,6 +694,13 @@ fn main() {
     let server_fresh = load_server(&root.join("BENCH_server.json"));
     let server_baseline = load_server(&root.join("BENCH_server_baseline.json"));
     failures.extend(check_server(&server_fresh, &server_baseline));
+
+    // Check 8: repeated OPENs skip preprocessing through the plan cache's
+    // prepared artifacts.
+    failures.extend(check_cache(
+        load_cache_ratio(&root.join("BENCH_cache.json")),
+        load_cache_ratio(&root.join("BENCH_cache_baseline.json")),
+    ));
 
     if failures.is_empty() {
         println!("check_bench: all perf guards passed");
@@ -775,6 +833,18 @@ mod tests {
          \"service_p50_us\":406.0,\"corrected_p99_us\":60957.0,\"fetches\":1024},\
         {\"mode\":\"reactor_binary\",\"sessions_per_sec\":227.7,\"solo_p50_us\":100.0,\
          \"service_p50_us\":428.0,\"corrected_p99_us\":32710.0,\"fetches\":1024}]}";
+
+    #[test]
+    fn cache_gates_fire_on_regressions() {
+        let sample = "{\"memberships\":10000,\"open_ratio\":0.00180,\"prepared_bytes\":9}";
+        let ratio = field_f64(sample, "open_ratio").unwrap();
+        assert_eq!(ratio, 0.0018);
+        assert!(check_cache(ratio, ratio).is_empty());
+        // Drifting 30% past the baseline fails; so does losing the 10x.
+        assert_eq!(check_cache(ratio * 1.3, ratio).len(), 1);
+        assert_eq!(check_cache(0.2, 0.2).len(), 1);
+        assert_eq!(check_cache(0.2, ratio).len(), 2);
+    }
 
     #[test]
     fn parses_the_server_schema() {

@@ -25,6 +25,15 @@
 //! and every byte the frontier retains is accounted in
 //! [`EnumStats::frontier_bytes`] / [`EnumStats::frontier_peak_bytes`].
 //!
+//! Preprocessing and enumeration are split across two types:
+//! [`PreparedAcyclic`] is the immutable result of the linear phase
+//! (reduced relations, rank plans, the initial cells, keys and anchor
+//! queues) and is shared behind an `Arc`; an [`AcyclicEnumerator`] is a
+//! cursor over it that owns only what enumeration mutates — the cells and
+//! keys it adds, the `next` chain, and how far it consumed each anchor
+//! queue plus the entries it pushed (see [`QueueOverlay`]). Opening a
+//! second cursor on the same prepared part costs no preprocessing.
+//!
 //! Guarantees (Lemmas 1–3): `O(|D|)` preprocessing (after the full-reducer
 //! pass), `O(|D| log |D|)` worst-case delay, answers emitted in
 //! non-decreasing rank order without duplicates, byte-identical to the
@@ -35,30 +44,28 @@
 use crate::cell::CellId;
 use crate::error::EnumError;
 use crate::frontier::{
-    CellArena, FrontierEntry, FrontierHeap, KeyInterner, NEXT_EXHAUSTED, NEXT_NOT_COMPUTED,
+    CellArena, CellOverlay, FrontierEntry, FrontierHeap, KeyInterner, KeyOverlay, QueueOverlay,
+    NEXT_EXHAUSTED, NEXT_NOT_COMPUTED,
 };
 use crate::stats::EnumStats;
 use re_exec::ExecContext;
 use re_join::reduce_then_prune_ctx;
 use re_query::{JoinProjectQuery, JoinTree};
-use re_ranking::{RankKey, Ranking};
+use re_ranking::Ranking;
 use re_storage::{Attr, Database, Relation, Tuple, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// Per-node state: the reduced relation, positional plans, and the node's
-/// slice of the frontier kernel (arena + interner + anchor queues).
-struct NodeState<R: Ranking> {
+/// Immutable per-node state of a [`PreparedAcyclic`]: the reduced
+/// relation, positional plans and the initial frontier (one cell per
+/// reduced tuple, its interned keys and the anchor queues holding them).
+struct PreparedNode<R: Ranking> {
     relation: Relation,
-    /// Positions (in `relation`) of the node's anchor attributes.
-    anchor_pos: Vec<usize>,
     /// Positions (in `relation`) of the projection attributes owned by this node.
     own_proj_pos: Vec<usize>,
     /// Child node indices, in tree order.
     children: Vec<usize>,
-    /// For every child, the positions (in `relation`) of that child's anchor
-    /// attributes — used to locate the child queue a tuple joins with.
-    child_anchor_pos: Vec<Vec<usize>>,
     /// Permutation that reorders this node's subtree-order output by the
     /// *global* projection-attribute order (the user's projection order).
     /// Tie-breaking reads the permuted output out of the arena, so it is
@@ -68,33 +75,41 @@ struct NodeState<R: Ranking> {
     tie_perm: Vec<usize>,
     /// Ranking plan over the node's subtree-order output attributes.
     plan: <R as Ranking>::Plan,
-    /// Cell slab (outputs, pointers, metadata — no per-cell allocations).
+    /// The initial cells (outputs, pointers, metadata).
     arena: CellArena,
-    /// Interned rank keys; entries carry ids, comparisons go through here.
+    /// The initial cells' interned rank keys.
     keys: KeyInterner<R::Key>,
-    /// `PQ_i[u]`: one priority queue per anchor id.
+    /// `PQ_i[u]` as preprocessing left it: one queue per anchor id.
     queues: Vec<FrontierHeap>,
+}
+
+/// A cursor's private slice of one node's frontier (see the overlays in
+/// [`crate::frontier`]).
+struct NodeCursor<K> {
+    cells: CellOverlay,
+    keys: KeyOverlay<K>,
+    queues: QueueOverlay,
 }
 
 /// Total order of a node's frontier entries: interned key, then the
 /// tie-permuted output read from the arena, then cell id — the same order
 /// the owned-tuple engine realised with cloned `(key, tie, cell)` entries.
-fn entry_cmp<K: RankKey>(
-    keys: &KeyInterner<K>,
-    arena: &CellArena,
+#[inline]
+fn frontier_cmp<'a>(
+    key_cmp: impl Fn(u32, u32) -> Ordering,
+    output: impl Fn(CellId) -> &'a [Value],
     tie_perm: &[usize],
     a: FrontierEntry,
     b: FrontierEntry,
 ) -> Ordering {
-    let by_key = keys.cmp(a.key, b.key);
+    let by_key = key_cmp(a.key, b.key);
     if by_key != Ordering::Equal {
         return by_key;
     }
     if a.cell == b.cell {
         return Ordering::Equal;
     }
-    let oa = arena.output(a.cell);
-    let ob = arena.output(b.cell);
+    let (oa, ob) = (output(a.cell), output(b.cell));
     for &p in tie_perm {
         match oa[p].cmp(&ob[p]) {
             Ordering::Equal => continue,
@@ -104,10 +119,264 @@ fn entry_cmp<K: RankKey>(
     a.cell.cmp(&b.cell)
 }
 
+/// [`frontier_cmp`] through a cursor's view of a shared node.
+#[inline]
+fn entry_cmp<R: Ranking>(
+    shared: &PreparedNode<R>,
+    cells: &CellOverlay,
+    keys: &KeyOverlay<R::Key>,
+    a: FrontierEntry,
+    b: FrontierEntry,
+) -> Ordering {
+    frontier_cmp(
+        |x, y| keys.cmp(&shared.keys, x, y),
+        |c| cells.output(&shared.arena, c),
+        &shared.tie_perm,
+        a,
+        b,
+    )
+}
+
 /// Bytes a live frontier heap entry occupies.
 const ENTRY_BYTES: u64 = std::mem::size_of::<FrontierEntry>() as u64;
 
-/// Ranked enumerator for acyclic join-project queries.
+/// The preprocessing phase of the acyclic algorithm (Algorithm 1), done
+/// once and shared: the fully reduced node relations, per-node rank plans
+/// and the initial frontier. Immutable after construction, so any number
+/// of [`AcyclicEnumerator`] cursors — on any threads — can be opened on
+/// one `Arc<PreparedAcyclic>`; each keeps only the frontier it grows.
+pub struct PreparedAcyclic<R: Ranking + Clone> {
+    ranking: R,
+    root: usize,
+    nodes: Vec<PreparedNode<R>>,
+    /// Projection attributes in the user-requested order (the order of the
+    /// emitted tuples and of rank tie-breaking).
+    projection: Vec<Attr>,
+    /// Some reduced relation is empty: no answer exists.
+    empty: bool,
+    /// The build's counters (reducer passes, initial cells and their
+    /// frontier bytes). Every cursor starts from them, so its accounting
+    /// is the same whether the prepared part was built for it or reused.
+    pub(crate) stats: EnumStats,
+    bytes: u64,
+}
+
+impl<R: Ranking + Clone> PreparedAcyclic<R> {
+    /// Preprocess `query` over `db` with a default join tree, running the
+    /// full-reducer pass under `ctx` (morsel-parallel semi-joins on a
+    /// pooled context). The result — and therefore every emitted answer —
+    /// is identical to the serial build at any thread count.
+    pub fn prepare(
+        query: &JoinProjectQuery,
+        db: &Database,
+        ranking: R,
+        ctx: &ExecContext,
+    ) -> Result<Self, EnumError> {
+        let tree = JoinTree::build(query)?;
+        Self::prepare_with_tree(query, db, ranking, tree, ctx)
+    }
+
+    /// [`PreparedAcyclic::prepare`] with an explicit join tree (any root
+    /// is valid; the complexity guarantees do not depend on the choice).
+    pub fn prepare_with_tree(
+        query: &JoinProjectQuery,
+        db: &Database,
+        ranking: R,
+        tree: JoinTree,
+        ctx: &ExecContext,
+    ) -> Result<Self, EnumError> {
+        query.validate_against(db)?;
+        let (pruned, reduced, rstats) = reduce_then_prune_ctx(ctx, query, tree, db)?;
+        let mut built = Self::from_reduced(query.projection().to_vec(), ranking, pruned, reduced)?;
+        built
+            .stats
+            .record_reduce(rstats.passes, rstats.input_rows, rstats.output_rows);
+        Ok(built)
+    }
+
+    /// Build from per-node relations that are already bound to query
+    /// variables and fully reduced (the star-query and GHD-based
+    /// enumerators prepare their own instances).
+    fn from_reduced(
+        projection: Vec<Attr>,
+        ranking: R,
+        tree: JoinTree,
+        reduced: Vec<Relation>,
+    ) -> Result<Self, EnumError> {
+        assert_eq!(tree.len(), reduced.len());
+        let mut stats = EnumStats::new();
+        let empty = reduced.iter().any(|r| r.is_empty());
+
+        // Global position of each projection attribute: its index in the
+        // user projection order. Tie-breaking reads every node's output in
+        // this global order, which keeps comparisons consistent across the
+        // whole tree.
+        let global_pos = |a: &Attr| -> usize {
+            projection
+                .iter()
+                .position(|x| x == a)
+                .expect("projection attribute missing from join tree output")
+        };
+
+        // Static per-node info; anchor positions are build-time only.
+        let mut nodes: Vec<PreparedNode<R>> = Vec::with_capacity(tree.len());
+        let mut anchor_pos: Vec<Vec<usize>> = Vec::with_capacity(tree.len());
+        let mut child_anchor_pos: Vec<Vec<Vec<usize>>> = Vec::with_capacity(tree.len());
+        for (idx, rel) in reduced.into_iter().enumerate() {
+            let node = tree.node(idx);
+            anchor_pos.push(rel.positions(&node.anchor)?);
+            child_anchor_pos.push(
+                node.children
+                    .iter()
+                    .map(|&c| rel.positions(&tree.node(c).anchor))
+                    .collect::<Result<Vec<_>, _>>()?,
+            );
+            let mut tie_perm: Vec<usize> = (0..node.subtree_proj.len()).collect();
+            tie_perm.sort_by_key(|&i| global_pos(&node.subtree_proj[i]));
+            nodes.push(PreparedNode {
+                own_proj_pos: rel.positions(&node.own_proj)?,
+                children: node.children.clone(),
+                arena: CellArena::new(node.subtree_proj.len(), node.children.len()),
+                tie_perm,
+                plan: ranking.plan(&node.subtree_proj),
+                relation: rel,
+                keys: KeyInterner::new(),
+                queues: Vec::new(),
+            });
+        }
+
+        // Preprocessing (Algorithm 1): bottom-up cell construction. The
+        // anchor maps assign dense queue ids per distinct anchor value;
+        // they are build-time only — cells remember their anchor id, so
+        // the maps are dropped (with their tuples) before enumeration.
+        if !empty {
+            let mut anchor_ids: Vec<HashMap<Tuple, u32>> = (0..tree.len())
+                .map(|u| HashMap::with_capacity(nodes[u].relation.len().min(1024)))
+                .collect();
+            let mut out_buf: Tuple = Vec::new();
+            let mut ptr_buf: Vec<CellId> = Vec::new();
+            let mut anchor_buf: Tuple = Vec::new();
+            for &u in &tree.post_order() {
+                'rows: for row in 0..nodes[u].relation.len() {
+                    out_buf.clear();
+                    ptr_buf.clear();
+                    anchor_buf.clear();
+                    {
+                        let ns = &nodes[u];
+                        let t = ns.relation.tuple(row);
+                        out_buf.extend(ns.own_proj_pos.iter().map(|&p| t[p]));
+                        for (ci, &child) in ns.children.iter().enumerate() {
+                            anchor_buf.clear();
+                            anchor_buf.extend(child_anchor_pos[u][ci].iter().map(|&p| t[p]));
+                            let child_ns = &nodes[child];
+                            let top = anchor_ids[child]
+                                .get(anchor_buf.as_slice())
+                                .and_then(|&aid| child_ns.queues[aid as usize].peek());
+                            let Some(top) = top else {
+                                // A dangling tuple; cannot happen on a fully
+                                // reduced instance but skipping it keeps the
+                                // enumerator correct regardless.
+                                debug_assert!(false, "dangling tuple on reduced instance");
+                                continue 'rows;
+                            };
+                            ptr_buf.push(top.cell);
+                            out_buf.extend_from_slice(child_ns.arena.output(top.cell));
+                        }
+                        anchor_buf.clear();
+                        anchor_buf.extend(anchor_pos[u].iter().map(|&p| t[p]));
+                    }
+                    let key = ranking.key(&nodes[u].plan, &out_buf);
+                    let anchor = match anchor_ids[u].get(anchor_buf.as_slice()) {
+                        Some(&aid) => aid,
+                        None => {
+                            let aid = nodes[u].queues.len() as u32;
+                            nodes[u].queues.push(FrontierHeap::new());
+                            anchor_ids[u].insert(anchor_buf.clone(), aid);
+                            aid
+                        }
+                    };
+                    let ns = &mut nodes[u];
+                    let (key_id, key_bytes) = ns.keys.intern(key);
+                    let cell = ns
+                        .arena
+                        .push(row as u32, anchor, key_id, 0, &out_buf, &ptr_buf);
+                    let PreparedNode {
+                        arena,
+                        keys,
+                        queues,
+                        tie_perm,
+                        ..
+                    } = ns;
+                    let grown = queues[anchor as usize].push(
+                        FrontierEntry { key: key_id, cell },
+                        |a, b| {
+                            frontier_cmp(|x, y| keys.cmp(x, y), |c| arena.output(c), tie_perm, a, b)
+                        },
+                    );
+                    // Bump the raw counters, not `record_*`: preprocessing
+                    // work must not leak into the per-answer delay
+                    // histogram.
+                    stats.cells_created += 1;
+                    stats.pq_pushes += 1;
+                    stats.frontier_alloc(
+                        (arena.bytes_per_cell() + key_bytes + grown) as u64,
+                        arena.bytes_per_cell() as u64 + key_bytes as u64 + ENTRY_BYTES,
+                    );
+                }
+            }
+        }
+
+        // A sorted array is a valid heap: sorting every queue but the
+        // root's (one queue of all root cells) lets cursors consume the
+        // shared queues in place (see `QueueOverlay`). The per-anchor sorts
+        // are small; the root's would be the one `O(n log n)` term.
+        let root = tree.root();
+        for (_, ns) in nodes.iter_mut().enumerate().filter(|(u, _)| *u != root) {
+            let PreparedNode {
+                arena,
+                keys,
+                queues,
+                tie_perm,
+                ..
+            } = ns;
+            for queue in queues.iter_mut() {
+                queue.sort(|a, b| {
+                    frontier_cmp(|x, y| keys.cmp(x, y), |c| arena.output(c), tie_perm, a, b)
+                });
+            }
+        }
+        let bytes = nodes
+            .iter()
+            .map(|n| {
+                n.relation.value_count() * std::mem::size_of::<Value>()
+                    + n.arena.bytes()
+                    + n.keys.bytes()
+                    + n.queues
+                        .iter()
+                        .map(FrontierHeap::retained_bytes)
+                        .sum::<usize>()
+            })
+            .sum::<usize>() as u64;
+        Ok(PreparedAcyclic {
+            ranking,
+            root,
+            nodes,
+            projection,
+            empty,
+            stats,
+            bytes,
+        })
+    }
+
+    /// Bytes the prepared part retains (reduced relations plus the initial
+    /// frontier) — shared by every cursor opened on it.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+}
+
+/// Ranked enumerator for acyclic join-project queries: a cursor over a
+/// shared [`PreparedAcyclic`].
 ///
 /// ```
 /// use rankedenum_core::AcyclicEnumerator;
@@ -128,12 +397,8 @@ const ENTRY_BYTES: u64 = std::mem::size_of::<FrontierEntry>() as u64;
 /// assert_eq!(top, vec![vec![1, 1], vec![1, 2], vec![2, 1]]);
 /// ```
 pub struct AcyclicEnumerator<R: Ranking + Clone> {
-    ranking: R,
-    tree: JoinTree,
-    nodes: Vec<NodeState<R>>,
-    /// Projection attributes in the user-requested order (the order of the
-    /// emitted tuples and of rank tie-breaking).
-    projection: Vec<Attr>,
+    prepared: Arc<PreparedAcyclic<R>>,
+    nodes: Vec<NodeCursor<R::Key>>,
     /// Root cell of the last emitted answer (cells are never freed, so the
     /// id stays valid) — the deduplication check compares arena slices
     /// instead of keeping an owned copy.
@@ -150,23 +415,19 @@ pub struct AcyclicEnumerator<R: Ranking + Clone> {
 impl<R: Ranking + Clone> AcyclicEnumerator<R> {
     /// Build the enumerator with a default join tree.
     pub fn new(query: &JoinProjectQuery, db: &Database, ranking: R) -> Result<Self, EnumError> {
-        let tree = JoinTree::build(query)?;
-        Self::with_tree(query, db, ranking, tree)
+        Self::new_ctx(query, db, ranking, &ExecContext::serial())
     }
 
-    /// Build the enumerator with a default join tree, running the
-    /// full-reducer preprocessing pass under `ctx` (morsel-parallel
-    /// semi-joins on a pooled context). The enumerator — and therefore
-    /// every emitted answer — is identical to the serial build at any
-    /// thread count.
+    /// Build the enumerator with a default join tree, preprocessing under
+    /// `ctx` (see [`PreparedAcyclic::prepare`]).
     pub fn new_ctx(
         query: &JoinProjectQuery,
         db: &Database,
         ranking: R,
         ctx: &ExecContext,
     ) -> Result<Self, EnumError> {
-        let tree = JoinTree::build(query)?;
-        Self::with_tree_ctx(query, db, ranking, tree, ctx)
+        let prepared = PreparedAcyclic::prepare(query, db, ranking, ctx)?;
+        Ok(Self::open(Arc::new(prepared)))
     }
 
     /// Build the enumerator with an explicit join tree (any root is valid;
@@ -177,178 +438,44 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
         ranking: R,
         tree: JoinTree,
     ) -> Result<Self, EnumError> {
-        Self::with_tree_ctx(query, db, ranking, tree, &ExecContext::serial())
+        let prepared =
+            PreparedAcyclic::prepare_with_tree(query, db, ranking, tree, &ExecContext::serial())?;
+        Ok(Self::open(Arc::new(prepared)))
     }
 
-    /// Build the enumerator with an explicit join tree and execution
-    /// context (see [`AcyclicEnumerator::new_ctx`]).
-    pub fn with_tree_ctx(
-        query: &JoinProjectQuery,
-        db: &Database,
-        ranking: R,
-        tree: JoinTree,
-        ctx: &ExecContext,
-    ) -> Result<Self, EnumError> {
-        query.validate_against(db)?;
-        let (pruned, reduced, rstats) = reduce_then_prune_ctx(ctx, query, tree, db)?;
-        let mut built = Self::from_reduced(query.projection().to_vec(), ranking, pruned, reduced)?;
-        built
-            .stats_mut()
-            .record_reduce(rstats.passes, rstats.input_rows, rstats.output_rows);
-        Ok(built)
-    }
-
-    /// Build the enumerator from per-node relations that are already bound
-    /// to query variables and fully reduced. Used by the star-query and
-    /// GHD-based enumerators which prepare their own instances.
-    pub fn from_reduced(
-        projection: Vec<Attr>,
-        ranking: R,
-        tree: JoinTree,
-        reduced: Vec<Relation>,
-    ) -> Result<Self, EnumError> {
-        assert_eq!(tree.len(), reduced.len());
-        let mut stats = EnumStats::new();
-        let empty_result = reduced.iter().any(|r| r.is_empty());
-
-        // Global position of each projection attribute: its index in the
-        // user projection order. Tie-breaking reads every node's output in
-        // this global order, which keeps comparisons consistent across the
-        // whole tree.
-        let global_pos = |a: &Attr| -> usize {
-            projection
-                .iter()
-                .position(|x| x == a)
-                .expect("projection attribute missing from join tree output")
-        };
-
-        // Static per-node info.
-        let mut nodes: Vec<NodeState<R>> = Vec::with_capacity(tree.len());
-        for (idx, rel) in reduced.into_iter().enumerate() {
-            let node = tree.node(idx);
-            let anchor_pos = rel.positions(&node.anchor)?;
-            let own_proj_pos = rel.positions(&node.own_proj)?;
-            let child_anchor_pos = node
-                .children
-                .iter()
-                .map(|&c| rel.positions(&tree.node(c).anchor))
-                .collect::<Result<Vec<_>, _>>()?;
-            let mut tie_perm: Vec<usize> = (0..node.subtree_proj.len()).collect();
-            tie_perm.sort_by_key(|&i| global_pos(&node.subtree_proj[i]));
-            nodes.push(NodeState {
-                anchor_pos,
-                own_proj_pos,
-                children: node.children.clone(),
-                child_anchor_pos,
-                arena: CellArena::new(node.subtree_proj.len(), node.children.len()),
-                tie_perm,
-                plan: ranking.plan(&node.subtree_proj),
-                relation: rel,
-                keys: KeyInterner::new(),
-                queues: Vec::new(),
-            });
-        }
-
-        // Preprocessing (Algorithm 1): bottom-up cell construction. The
-        // anchor maps assign dense queue ids per distinct anchor value;
-        // they are build-time only — cells remember their anchor id, so
-        // the maps are dropped (with their tuples) before enumeration.
-        if !empty_result {
-            let mut anchor_ids: Vec<HashMap<Tuple, u32>> = (0..tree.len())
-                .map(|u| HashMap::with_capacity(nodes[u].relation.len().min(1024)))
-                .collect();
-            let mut out_buf: Tuple = Vec::new();
-            let mut ptr_buf: Vec<CellId> = Vec::new();
-            let mut anchor_buf: Tuple = Vec::new();
-            for &u in &tree.post_order() {
-                'rows: for row in 0..nodes[u].relation.len() {
-                    out_buf.clear();
-                    ptr_buf.clear();
-                    anchor_buf.clear();
-                    {
-                        let ns = &nodes[u];
-                        let t = ns.relation.tuple(row);
-                        out_buf.extend(ns.own_proj_pos.iter().map(|&p| t[p]));
-                        for (ci, &child) in ns.children.iter().enumerate() {
-                            anchor_buf.clear();
-                            anchor_buf.extend(ns.child_anchor_pos[ci].iter().map(|&p| t[p]));
-                            let child_ns = &nodes[child];
-                            let top = anchor_ids[child]
-                                .get(anchor_buf.as_slice())
-                                .and_then(|&aid| child_ns.queues[aid as usize].peek());
-                            let Some(top) = top else {
-                                // A dangling tuple; cannot happen on a fully
-                                // reduced instance but skipping it keeps the
-                                // enumerator correct regardless.
-                                debug_assert!(false, "dangling tuple on reduced instance");
-                                continue 'rows;
-                            };
-                            ptr_buf.push(top.cell);
-                            out_buf.extend_from_slice(child_ns.arena.output(top.cell));
-                        }
-                        anchor_buf.clear();
-                        anchor_buf.extend(ns.anchor_pos.iter().map(|&p| t[p]));
-                    }
-                    let key = ranking.key(&nodes[u].plan, &out_buf);
-                    let anchor = match anchor_ids[u].get(anchor_buf.as_slice()) {
-                        Some(&aid) => aid,
-                        None => {
-                            let aid = nodes[u].queues.len() as u32;
-                            nodes[u].queues.push(FrontierHeap::new());
-                            anchor_ids[u].insert(anchor_buf.clone(), aid);
-                            aid
-                        }
-                    };
-                    let ns = &mut nodes[u];
-                    let (key_id, key_bytes) = ns.keys.intern(key);
-                    let cell = ns
-                        .arena
-                        .push(row as u32, anchor, key_id, 0, &out_buf, &ptr_buf);
-                    let NodeState {
-                        arena,
-                        keys,
-                        queues,
-                        tie_perm,
-                        ..
-                    } = ns;
-                    let grown = queues[anchor as usize]
-                        .push(FrontierEntry { key: key_id, cell }, |a, b| {
-                            entry_cmp(keys, arena, tie_perm, a, b)
-                        });
-                    // Bump the raw counters, not `record_*`: preprocessing
-                    // work must not leak into the per-answer delay
-                    // histogram.
-                    stats.cells_created += 1;
-                    stats.pq_pushes += 1;
-                    stats.frontier_alloc(
-                        (arena.bytes_per_cell() + key_bytes + grown) as u64,
-                        arena.bytes_per_cell() as u64 + key_bytes as u64 + ENTRY_BYTES,
-                    );
-                }
-            }
-        }
-
-        Ok(AcyclicEnumerator {
-            ranking,
-            tree,
+    /// Open a cursor on a prepared part: no preprocessing, only the
+    /// private views (unset chain pointers, no own cells or keys, no
+    /// copied queues) are allocated.
+    pub fn open(prepared: Arc<PreparedAcyclic<R>>) -> Self {
+        let nodes = prepared
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(u, n)| NodeCursor {
+                cells: CellOverlay::new(&n.arena),
+                keys: KeyOverlay::new(&n.keys),
+                queues: QueueOverlay::new(n.queues.len(), u != prepared.root),
+            })
+            .collect();
+        AcyclicEnumerator {
+            stats: prepared.stats.clone(),
+            exhausted: prepared.empty,
+            prepared,
             nodes,
-            projection,
             last_emitted: None,
             out_buf: Tuple::new(),
             ptr_buf: Vec::new(),
-            stats,
-            exhausted: empty_result,
-        })
+        }
     }
 
     /// The projection attributes, in output order.
     pub fn output_attrs(&self) -> &[Attr] {
-        &self.projection
+        &self.prepared.projection
     }
 
     /// The ranking function used by this enumerator.
     pub fn ranking(&self) -> &R {
-        &self.ranking
+        &self.prepared.ranking
     }
 
     /// Enumeration statistics collected so far.
@@ -356,16 +483,11 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
         &self.stats
     }
 
-    /// Mutable statistics access for wrappers that annotate build-time
-    /// facts (the cyclic enumerator records its GHD plan here).
-    pub(crate) fn stats_mut(&mut self) -> &mut EnumStats {
-        &mut self.stats
-    }
-
-    /// Total number of cells currently allocated — the dominant part of the
-    /// enumerator's memory footprint.
+    /// Total number of cells visible to this cursor (shared initial cells
+    /// plus the ones it created) — the dominant part of the enumerator's
+    /// memory footprint.
     pub fn cell_count(&self) -> usize {
-        self.nodes.iter().map(|n| n.arena.len()).sum()
+        self.nodes.iter().map(|n| n.cells.len()).sum()
     }
 
     /// Bytes currently retained by the frontier (see
@@ -382,29 +504,47 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
 
     /// Rank key of an output tuple (in user projection order).
     pub fn key_of_output(&self, tuple: &[Value]) -> R::Key {
-        self.ranking.key_of(&self.projection, tuple)
+        self.prepared
+            .ranking
+            .key_of(&self.prepared.projection, tuple)
     }
 
     /// Pop the minimum entry of `node`'s queue `anchor`, if any.
     fn pop_queue(&mut self, node: usize, anchor: u32) -> Option<FrontierEntry> {
-        let NodeState {
-            arena,
+        let shared = &self.prepared.nodes[node];
+        let NodeCursor {
+            cells,
             keys,
             queues,
-            tie_perm,
-            ..
         } = &mut self.nodes[node];
-        let popped = queues[anchor as usize].pop(|a, b| entry_cmp(keys, arena, tie_perm, a, b))?;
+        let popped = queues.pop(&shared.queues, anchor, |a, b| {
+            entry_cmp(shared, cells, keys, a, b)
+        })?;
         self.stats.record_pop();
         self.stats.frontier_release(ENTRY_BYTES);
         Some(popped)
+    }
+
+    /// The minimum entry of `node`'s queue `anchor`, if any.
+    fn peek_queue(&self, node: usize, anchor: u32) -> Option<FrontierEntry> {
+        let shared = &self.prepared.nodes[node];
+        let NodeCursor {
+            cells,
+            keys,
+            queues,
+        } = &self.nodes[node];
+        queues.peek(&shared.queues, anchor, |a, b| {
+            entry_cmp(shared, cells, keys, a, b)
+        })
     }
 
     /// Whether the outputs of two cells of `node` are equal (tie-permuted
     /// equality coincides with raw slab equality — the permutation is a
     /// bijection).
     fn outputs_equal(&self, node: usize, a: CellId, b: CellId) -> bool {
-        a == b || self.nodes[node].arena.output(a) == self.nodes[node].arena.output(b)
+        let base = &self.prepared.nodes[node].arena;
+        let cells = &self.nodes[node].cells;
+        a == b || cells.output(base, a) == cells.output(base, b)
     }
 
     /// Create the successor cell of `cell` at `node` that advances child
@@ -423,40 +563,42 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
         let mut ptrs = std::mem::take(&mut self.ptr_buf);
         out.clear();
         ptrs.clear();
-        let row = self.nodes[node].arena.row(cell);
+        let prepared = &*self.prepared;
+        let shared = &prepared.nodes[node];
+        let row = self.nodes[node].cells.row(&shared.arena, cell);
         {
-            let ns = &self.nodes[node];
-            let t = ns.relation.tuple(row as usize);
-            out.extend(ns.own_proj_pos.iter().map(|&p| t[p]));
-            ptrs.extend_from_slice(ns.arena.ptrs(cell));
+            let t = shared.relation.tuple(row as usize);
+            out.extend(shared.own_proj_pos.iter().map(|&p| t[p]));
+            ptrs.extend_from_slice(self.nodes[node].cells.ptrs(&shared.arena, cell));
             ptrs[ci] = next_child;
-            for (cj, &child) in ns.children.iter().enumerate() {
-                out.extend_from_slice(self.nodes[child].arena.output(ptrs[cj]));
+            for (cj, &child) in shared.children.iter().enumerate() {
+                let child_base = &prepared.nodes[child].arena;
+                out.extend_from_slice(self.nodes[child].cells.output(child_base, ptrs[cj]));
             }
         }
-        let key = self.ranking.key(&self.nodes[node].plan, &out);
-        let ns = &mut self.nodes[node];
-        let (key_id, key_bytes) = ns.keys.intern(key);
-        let id = ns.arena.push(row, anchor, key_id, ci as u32, &out, &ptrs);
-        let NodeState {
-            arena,
+        let key = prepared.ranking.key(&shared.plan, &out);
+        let NodeCursor {
+            cells,
             keys,
             queues,
-            tie_perm,
-            ..
-        } = ns;
-        let grown = queues[anchor as usize].push(
+        } = &mut self.nodes[node];
+        let (key_id, key_bytes) = keys.intern(&shared.keys, key);
+        let id = cells.push(row, anchor, key_id, ci as u32, &out, &ptrs);
+        let grown = queues.push(
+            &shared.queues,
+            anchor,
             FrontierEntry {
                 key: key_id,
                 cell: id,
             },
-            |a, b| entry_cmp(keys, arena, tie_perm, a, b),
+            |a, b| entry_cmp(shared, cells, keys, a, b),
         );
+        let cell_bytes = shared.arena.bytes_per_cell() as u64;
         self.stats.record_cell();
         self.stats.record_push();
         self.stats.frontier_alloc(
-            (arena.bytes_per_cell() + key_bytes + grown) as u64,
-            arena.bytes_per_cell() as u64 + key_bytes as u64 + ENTRY_BYTES,
+            cell_bytes + (key_bytes + grown) as u64,
+            cell_bytes + key_bytes as u64 + ENTRY_BYTES,
         );
         self.out_buf = out;
         self.ptr_buf = ptrs;
@@ -467,10 +609,12 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
     /// after the cell's `advance_from` are advanced, so every pointer
     /// combination is generated exactly once.
     fn expand_successors(&mut self, node: usize, cell: CellId, anchor: u32) {
-        let advance_from = self.nodes[node].arena.advance_from(cell) as usize;
-        for ci in advance_from..self.nodes[node].children.len() {
-            let child = self.nodes[node].children[ci];
-            let child_cell = self.nodes[node].arena.ptrs(cell)[ci];
+        let base = &self.prepared.nodes[node].arena;
+        let advance_from = self.nodes[node].cells.advance_from(base, cell) as usize;
+        for ci in advance_from..self.prepared.nodes[node].children.len() {
+            let child = self.prepared.nodes[node].children[ci];
+            let base = &self.prepared.nodes[node].arena;
+            let child_cell = self.nodes[node].cells.ptrs(base, cell)[ci];
             if let Some(next_child) = self.topdown(child_cell, child) {
                 self.push_successor(node, cell, ci, next_child, anchor);
             }
@@ -483,19 +627,21 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
     /// Only called on non-root nodes — the root queue is driven directly by
     /// [`Iterator::next`], which owns the popped entry instead of chaining.
     fn topdown(&mut self, cell: CellId, node: usize) -> Option<CellId> {
-        match self.nodes[node].arena.next(cell) {
+        match self.nodes[node].cells.next(cell) {
             NEXT_EXHAUSTED => return None,
             NEXT_NOT_COMPUTED => {}
             chained => return Some(chained),
         }
-        debug_assert_ne!(node, self.tree.root(), "topdown never drives the root");
+        debug_assert_ne!(node, self.prepared.root, "topdown never drives the root");
         // The cell remembers its dense anchor id — no anchor tuple is ever
         // rebuilt or hashed here (the old engine allocated one per call).
-        let anchor = self.nodes[node].arena.anchor(cell);
+        let anchor = self.nodes[node]
+            .cells
+            .anchor(&self.prepared.nodes[node].arena, cell);
         let mut first_iteration = true;
         loop {
             let Some(popped) = self.pop_queue(node, anchor) else {
-                self.nodes[node].arena.set_next(cell, NEXT_EXHAUSTED);
+                self.nodes[node].cells.set_next(cell, NEXT_EXHAUSTED);
                 return None;
             };
             if first_iteration {
@@ -509,11 +655,12 @@ impl<R: Ranking + Clone> AcyclicEnumerator<R> {
 
             // Chain to the new top; keep popping while it duplicates the
             // output we just advanced past (lines 17–19).
-            let (next_ptr, duplicate) = match self.nodes[node].queues[anchor as usize].peek() {
+            let top = self.peek_queue(node, anchor);
+            let (next_ptr, duplicate) = match top {
                 None => (NEXT_EXHAUSTED, false),
                 Some(e) => (e.cell, self.outputs_equal(node, e.cell, popped.cell)),
             };
-            self.nodes[node].arena.set_next(cell, next_ptr);
+            self.nodes[node].cells.set_next(cell, next_ptr);
             if !duplicate {
                 return match next_ptr {
                     NEXT_EXHAUSTED | NEXT_NOT_COMPUTED => None,
@@ -531,12 +678,11 @@ impl<R: Ranking + Clone> Iterator for AcyclicEnumerator<R> {
         if self.exhausted {
             return None;
         }
-        let root = self.tree.root();
+        let root = self.prepared.root;
         // The root's anchor is the empty tuple, so all root cells share
         // queue 0.
-        debug_assert!(self.nodes[root].anchor_pos.is_empty());
         loop {
-            if self.nodes[root].queues.is_empty() {
+            if self.prepared.nodes[root].queues.is_empty() {
                 self.exhausted = true;
                 return None;
             }
@@ -550,7 +696,7 @@ impl<R: Ranking + Clone> Iterator for AcyclicEnumerator<R> {
             // Keep popping while the new top duplicates the advanced-past
             // output (lines 17–19 of Algorithm 2 at the root).
             loop {
-                let dup = match self.nodes[root].queues[0].peek() {
+                let dup = match self.peek_queue(root, 0) {
                     Some(e) if self.outputs_equal(root, e.cell, top.cell) => Some(e.cell),
                     _ => None,
                 };
@@ -567,11 +713,11 @@ impl<R: Ranking + Clone> Iterator for AcyclicEnumerator<R> {
             {
                 self.last_emitted = Some(top.cell);
                 self.stats.record_answer();
-                let ns = &self.nodes[root];
-                let out = ns.arena.output(top.cell);
+                let shared = &self.prepared.nodes[root];
+                let out = self.nodes[root].cells.output(&shared.arena, top.cell);
                 // At the root the tie permutation maps the subtree layout
                 // to the user projection order.
-                return Some(ns.tie_perm.iter().map(|&p| out[p]).collect());
+                return Some(shared.tie_perm.iter().map(|&p| out[p]).collect());
             }
             // Duplicate of the previous answer (possible only through rank
             // ties introduced by later insertions); skip and continue.

@@ -1,14 +1,16 @@
 //! Convenience dispatcher that picks an enumeration strategy from the query
 //! structure, plus a one-call `top_k` helper.
 
-use crate::acyclic::AcyclicEnumerator;
-use crate::cyclic::CyclicEnumerator;
+use crate::acyclic::{AcyclicEnumerator, PreparedAcyclic};
+use crate::cyclic::{CyclicEnumerator, PreparedCyclic};
 use crate::error::EnumError;
 use crate::stats::EnumStats;
+use crate::stream::PreparedStream;
 use re_exec::ExecContext;
 use re_query::{Hypergraph, JoinProjectQuery};
 use re_ranking::Ranking;
 use re_storage::{Attr, Database, Tuple};
+use std::sync::Arc;
 
 /// The enumeration strategy the dispatcher picks for a query. Exposed as a
 /// first-class value so that callers which cache plans (e.g. a query
@@ -91,6 +93,22 @@ pub fn select_ranked(query: &JoinProjectQuery, lex_order: Option<&[Attr]>) -> Al
     }
 }
 
+/// The preprocessing phase of the strategy [`select`] picks for `query`
+/// (the general acyclic algorithm, or GHD-based evaluation with a
+/// cost-based plan), type-erased so callers can cache it and open any
+/// number of cursors on it.
+pub fn prepare_ranked<R: Ranking + Clone + 'static>(
+    query: &JoinProjectQuery,
+    db: &Database,
+    ranking: R,
+    ctx: &ExecContext,
+) -> Result<Arc<dyn PreparedStream>, EnumError> {
+    Ok(match select(query) {
+        Algorithm::Acyclic => Arc::new(PreparedAcyclic::prepare(query, db, ranking, ctx)?),
+        _ => Arc::new(PreparedCyclic::prepare(query, db, ranking, ctx)?),
+    })
+}
+
 /// A ranked enumerator for any join-project query: acyclic queries go to
 /// [`AcyclicEnumerator`], cyclic ones to [`CyclicEnumerator`] with an
 /// automatically chosen GHD plan.
@@ -120,9 +138,9 @@ impl<R: Ranking + Clone> RankedEnumerator<R> {
             Algorithm::Acyclic => Ok(RankedEnumerator::Acyclic(AcyclicEnumerator::new_ctx(
                 query, db, ranking, ctx,
             )?)),
-            _ => Ok(RankedEnumerator::Cyclic(CyclicEnumerator::new_auto_ctx(
-                query, db, ranking, ctx,
-            )?)),
+            _ => Ok(RankedEnumerator::Cyclic(CyclicEnumerator::open(Arc::new(
+                PreparedCyclic::prepare(query, db, ranking, ctx)?,
+            )))),
         }
     }
 

@@ -7,7 +7,7 @@
 //! `O(|D|^{fhw} log |D|)` — the price the paper shows is unavoidable under
 //! standard hardness conjectures (Appendix F).
 
-use crate::acyclic::AcyclicEnumerator;
+use crate::acyclic::{AcyclicEnumerator, PreparedAcyclic};
 use crate::error::EnumError;
 use crate::stats::EnumStats;
 use re_exec::ExecContext;
@@ -15,6 +15,7 @@ use re_join::{materialize_bags_reported, BagKernel};
 use re_query::{Atom, GhdPlan, JoinProjectQuery, JoinTree, QueryError};
 use re_ranking::Ranking;
 use re_storage::{Attr, Database, Tuple};
+use std::sync::Arc;
 
 /// How the GHD plan behind a [`CyclicEnumerator`] was chosen — surfaced all
 /// the way to the server `stats` endpoint so a silent degradation to full
@@ -58,49 +59,67 @@ pub struct BagDetail {
     pub intersections: u64,
 }
 
-/// Ranked enumerator for (possibly) cyclic queries, driven by a GHD plan.
-pub struct CyclicEnumerator<R: Ranking + Clone> {
-    inner: AcyclicEnumerator<R>,
+/// The preprocessing phase of GHD-based evaluation, done once and shared:
+/// the materialised bags, reduced and turned into the residual acyclic
+/// query's [`PreparedAcyclic`], plus the plan report. The bag database and
+/// the unreduced bag relations are build-time only and dropped before this
+/// is returned.
+pub struct PreparedCyclic<R: Ranking + Clone> {
+    inner: Arc<PreparedAcyclic<R>>,
     bag_sizes: Vec<usize>,
     report: GhdReport,
 }
 
-impl<R: Ranking + Clone> CyclicEnumerator<R> {
-    /// Build the enumerator from an explicit GHD plan.
-    pub fn new(
+impl<R: Ranking + Clone> PreparedCyclic<R> {
+    /// Preprocess with a plan chosen by cost-based GHD selection
+    /// ([`GhdPlan::cost_based`]): the candidate decomposition with the
+    /// smallest AGM bag-size estimate wins; only when no decomposition
+    /// applies does the single-bag (full materialisation) fallback run —
+    /// and then the reason is recorded in [`GhdReport::fallback`] instead
+    /// of being swallowed.
+    pub fn prepare(
         query: &JoinProjectQuery,
         db: &Database,
         ranking: R,
-        plan: &GhdPlan,
-    ) -> Result<Self, EnumError> {
-        Self::new_ctx(query, db, ranking, plan, &ExecContext::serial())
-    }
-
-    /// Build the enumerator from an explicit GHD plan under an execution
-    /// context with the default (generic join) bag kernel. On a pooled
-    /// context the bags are materialised as parallel pool tasks (they are
-    /// independent sub-joins) and the kernels inside each bag fan out
-    /// further over morsels of the same pool. Bag materialisation dominates
-    /// cyclic preprocessing, so this is where the cores go.
-    ///
-    /// Determinism contract: the bag relations, `bag_sizes()` and the full
-    /// enumeration order are identical to the serial build at any thread
-    /// count.
-    pub fn new_ctx(
-        query: &JoinProjectQuery,
-        db: &Database,
-        ranking: R,
-        plan: &GhdPlan,
         ctx: &ExecContext,
     ) -> Result<Self, EnumError> {
-        Self::new_ctx_with_kernel(query, db, ranking, plan, ctx, BagKernel::default())
+        let ghd_span = re_obs::Span::enter("preprocess.ghd_select");
+        let (plan, fallback, candidates) = match GhdPlan::cost_based(query, db) {
+            Ok(sel) => {
+                let fallback = if sel.plan.shape() == "single-bag" {
+                    Some(
+                        sel.cycle_error
+                            .unwrap_or_else(|| "no cycle decomposition applicable".to_string()),
+                    )
+                } else {
+                    None
+                };
+                (sel.plan, fallback, sel.considered)
+            }
+            Err(e) => (GhdPlan::single_bag(query), Some(e.to_string()), 0),
+        };
+        drop(ghd_span);
+        Self::build(
+            query,
+            db,
+            ranking,
+            &plan,
+            ctx,
+            BagKernel::default(),
+            fallback,
+            candidates,
+        )
     }
 
-    /// [`CyclicEnumerator::new_ctx`] with an explicit bag-materialisation
-    /// kernel. Both kernels produce canonical (sorted, distinct) bag
-    /// relations, so the enumeration sequence does not depend on the
-    /// kernel — the `wcoj_differential` suite holds this as a contract.
-    pub fn new_ctx_with_kernel(
+    /// Preprocess with an explicit GHD plan and bag-materialisation kernel.
+    /// On a pooled context the bags are materialised as parallel pool
+    /// tasks (they are independent sub-joins) and the kernels inside each
+    /// bag fan out further over morsels of the same pool. Both kernels
+    /// produce canonical (sorted, distinct) bag relations, so the
+    /// enumeration sequence depends on neither the kernel nor the thread
+    /// count — the `wcoj_differential` and `parallel_determinism` suites
+    /// hold this as a contract.
+    pub fn prepare_with_plan(
         query: &JoinProjectQuery,
         db: &Database,
         ranking: R,
@@ -154,7 +173,7 @@ impl<R: Ranking + Clone> CyclicEnumerator<R> {
             Err(QueryError::NotAcyclic) => return Err(EnumError::ResidualCyclic),
             Err(e) => return Err(EnumError::Query(e)),
         };
-        let mut inner = AcyclicEnumerator::with_tree_ctx(&residual, &bag_db, ranking, tree, ctx)?;
+        let mut inner = PreparedAcyclic::prepare_with_tree(&residual, &bag_db, ranking, tree, ctx)?;
         let report = GhdReport {
             shape: plan.shape().to_string(),
             bags: plan.len(),
@@ -163,75 +182,85 @@ impl<R: Ranking + Clone> CyclicEnumerator<R> {
             candidates,
             bag_details,
         };
-        let stats = inner.stats_mut();
-        stats.ghd_bags = report.bags as u64;
-        stats.ghd_estimated_rows = report.estimated_rows.unwrap_or(0);
-        stats.ghd_fallbacks = u64::from(report.fallback.is_some());
-        Ok(CyclicEnumerator {
-            inner,
+        inner.stats.ghd_bags = report.bags as u64;
+        inner.stats.ghd_estimated_rows = report.estimated_rows.unwrap_or(0);
+        inner.stats.ghd_fallbacks = u64::from(report.fallback.is_some());
+        Ok(PreparedCyclic {
+            inner: Arc::new(inner),
             bag_sizes,
             report,
         })
     }
 
-    /// Build the enumerator choosing a plan automatically by cost-based
-    /// GHD selection ([`GhdPlan::cost_based`]): the candidate decomposition
-    /// with the smallest AGM bag-size estimate wins; only when no
-    /// decomposition applies does the single-bag (full materialisation)
-    /// fallback run — and then the reason is recorded in
-    /// [`CyclicEnumerator::plan_report`] instead of being swallowed.
-    pub fn new_auto(
+    /// Bytes the prepared part retains (the reduced bag relations plus the
+    /// residual query's initial frontier).
+    pub fn bytes(&self) -> u64 {
+        self.inner.bytes()
+    }
+}
+
+/// Ranked enumerator for (possibly) cyclic queries, driven by a GHD plan:
+/// a cursor over a shared [`PreparedCyclic`].
+pub struct CyclicEnumerator<R: Ranking + Clone> {
+    prepared: Arc<PreparedCyclic<R>>,
+    inner: AcyclicEnumerator<R>,
+}
+
+impl<R: Ranking + Clone> CyclicEnumerator<R> {
+    /// Build the enumerator from an explicit GHD plan.
+    pub fn new(
         query: &JoinProjectQuery,
         db: &Database,
         ranking: R,
+        plan: &GhdPlan,
     ) -> Result<Self, EnumError> {
-        Self::new_auto_ctx(query, db, ranking, &ExecContext::serial())
+        Self::new_ctx(query, db, ranking, plan, &ExecContext::serial())
     }
 
-    /// [`CyclicEnumerator::new_auto`] under an execution context.
-    pub fn new_auto_ctx(
+    /// Build the enumerator from an explicit GHD plan under an execution
+    /// context with the default (generic join) bag kernel (see
+    /// [`PreparedCyclic::prepare_with_plan`]).
+    pub fn new_ctx(
         query: &JoinProjectQuery,
         db: &Database,
         ranking: R,
+        plan: &GhdPlan,
         ctx: &ExecContext,
     ) -> Result<Self, EnumError> {
-        let ghd_span = re_obs::Span::enter("preprocess.ghd_select");
-        let (plan, fallback, candidates) = match GhdPlan::cost_based(query, db) {
-            Ok(sel) => {
-                let fallback = if sel.plan.shape() == "single-bag" {
-                    Some(
-                        sel.cycle_error
-                            .unwrap_or_else(|| "no cycle decomposition applicable".to_string()),
-                    )
-                } else {
-                    None
-                };
-                (sel.plan, fallback, sel.considered)
-            }
-            Err(e) => (GhdPlan::single_bag(query), Some(e.to_string()), 0),
-        };
-        drop(ghd_span);
-        Self::build(
-            query,
-            db,
-            ranking,
-            &plan,
-            ctx,
-            BagKernel::default(),
-            fallback,
-            candidates,
-        )
+        Self::new_ctx_with_kernel(query, db, ranking, plan, ctx, BagKernel::default())
+    }
+
+    /// [`CyclicEnumerator::new_ctx`] with an explicit bag-materialisation
+    /// kernel.
+    pub fn new_ctx_with_kernel(
+        query: &JoinProjectQuery,
+        db: &Database,
+        ranking: R,
+        plan: &GhdPlan,
+        ctx: &ExecContext,
+        kernel: BagKernel,
+    ) -> Result<Self, EnumError> {
+        let prepared = PreparedCyclic::prepare_with_plan(query, db, ranking, plan, ctx, kernel)?;
+        Ok(Self::open(Arc::new(prepared)))
+    }
+
+    /// Open a cursor on a prepared part (no preprocessing).
+    pub fn open(prepared: Arc<PreparedCyclic<R>>) -> Self {
+        CyclicEnumerator {
+            inner: AcyclicEnumerator::open(Arc::clone(&prepared.inner)),
+            prepared,
+        }
     }
 
     /// Sizes of the materialised bag relations (preprocessing cost proxy).
     pub fn bag_sizes(&self) -> &[usize] {
-        &self.bag_sizes
+        &self.prepared.bag_sizes
     }
 
     /// How the GHD plan was chosen (shape, bag count, estimate, fallback
     /// reason when full materialisation had to run).
     pub fn plan_report(&self) -> &GhdReport {
-        &self.report
+        &self.prepared.report
     }
 
     /// The projection attributes, in output order.
@@ -273,6 +302,14 @@ mod tests {
         )
         .unwrap();
         db
+    }
+
+    /// A cursor on a cost-based plan.
+    fn auto(q: &JoinProjectQuery, db: &Database) -> CyclicEnumerator<SumRanking> {
+        let prepared =
+            PreparedCyclic::prepare(q, db, SumRanking::value_sum(), &ExecContext::serial())
+                .unwrap();
+        CyclicEnumerator::open(Arc::new(prepared))
     }
 
     fn four_cycle_query() -> JoinProjectQuery {
@@ -357,7 +394,7 @@ mod tests {
             .project(["x", "z"])
             .build()
             .unwrap();
-        let e = CyclicEnumerator::new_auto(&q, &db, SumRanking::value_sum()).unwrap();
+        let e = auto(&q, &db);
         let results: Vec<Tuple> = e.collect();
         // (x,z) projections of the triangle's rotations, ranked by x+z.
         assert_eq!(results, vec![vec![2, 1], vec![1, 3], vec![3, 2]]);
@@ -367,7 +404,7 @@ mod tests {
     fn bag_sizes_are_reported() {
         let db = edge_db(&[(1, 2), (2, 3), (3, 4), (4, 1)]);
         let q = four_cycle_query();
-        let e = CyclicEnumerator::new_auto(&q, &db, SumRanking::value_sum()).unwrap();
+        let e = auto(&q, &db);
         assert_eq!(e.bag_sizes().len(), 2);
         assert!(e.bag_sizes().iter().all(|&s| s > 0));
     }
@@ -376,7 +413,7 @@ mod tests {
     fn empty_cyclic_result() {
         let db = edge_db(&[(1, 2), (3, 4)]);
         let q = four_cycle_query();
-        let mut e = CyclicEnumerator::new_auto(&q, &db, SumRanking::value_sum()).unwrap();
+        let mut e = auto(&q, &db);
         assert_eq!(e.next(), None);
     }
 
@@ -384,7 +421,7 @@ mod tests {
     fn auto_plans_are_reported_and_fallbacks_carry_a_reason() {
         let db = edge_db(&[(1, 2), (2, 3), (3, 4), (4, 1)]);
         let q = four_cycle_query();
-        let e = CyclicEnumerator::new_auto(&q, &db, SumRanking::value_sum()).unwrap();
+        let e = auto(&q, &db);
         let report = e.plan_report();
         assert!(report.shape.starts_with("cycle-"), "{}", report.shape);
         assert_eq!(report.bags, 2);
@@ -412,7 +449,7 @@ mod tests {
             .project(["a", "c"])
             .build()
             .unwrap();
-        let e = CyclicEnumerator::new_auto(&chorded, &db, SumRanking::value_sum()).unwrap();
+        let e = auto(&chorded, &db);
         let report = e.plan_report();
         assert_eq!(report.shape, "single-bag");
         let reason = report

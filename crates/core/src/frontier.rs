@@ -12,8 +12,14 @@
 //!   and child count are constants, so a cell's output lives at
 //!   `cell_id × out_stride` in one flat `Vec<Value>` and its child
 //!   pointers at `cell_id × ptr_stride` in one flat `Vec<CellId>`; the
-//!   per-cell metadata (`row`, `anchor`, `key`, `advance_from`, `next`)
-//!   is five `u32`s. No per-cell allocations, ever.
+//!   per-cell metadata (`row`, `anchor`, `key`, `advance_from`) is four
+//!   `u32`s. No per-cell allocations, ever.
+//! * [`CellOverlay`], [`KeyOverlay`], [`QueueOverlay`] — a cursor's
+//!   private view over an immutable, shared node: the initial cells, keys
+//!   and anchor queues stay in the prepared part every cursor reads; a
+//!   cursor appends its own cells and keys after them (ids continue past
+//!   the shared ones), keeps every cell's `next` pointer privately, and
+//!   copies an anchor queue on its first pop or push.
 //! * [`KeyInterner`] — each distinct rank key is stored once; entries
 //!   carry a `u32` key id and compare by table lookup
 //!   ([`KeyInterner::cmp`]), never by cloning key expansions.
@@ -34,13 +40,17 @@ use re_ranking::RankKey;
 use re_storage::Value;
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Packed `next`-pointer sentinel: not computed yet (`⊥` in the paper).
 pub const NEXT_NOT_COMPUTED: u32 = u32::MAX;
 /// Packed `next`-pointer sentinel: the ranked output is exhausted.
 pub const NEXT_EXHAUSTED: u32 = u32::MAX - 1;
 
-/// Per-cell metadata: five `u32`s, stored in one flat vector.
+/// Per-cell metadata: four `u32`s, stored in one flat vector. The `next`
+/// chain pointer lives outside the cell (see [`CellOverlay`]): it is the
+/// only field enumeration writes, so it belongs to the cursor while the
+/// cell itself can be shared.
 #[derive(Clone, Copy, Debug)]
 struct CellMeta {
     /// Row index of the node tuple inside the node's reduced relation.
@@ -54,9 +64,6 @@ struct CellMeta {
     /// First child pointer successors of this cell may advance (the
     /// duplicate-path breaker of Algorithm 2).
     advance_from: u32,
-    /// Packed `next` chain pointer ([`NEXT_NOT_COMPUTED`] /
-    /// [`NEXT_EXHAUSTED`] / a cell id).
-    next: u32,
 }
 
 /// Fixed-stride cell storage for one join-tree node.
@@ -120,7 +127,6 @@ impl CellArena {
             anchor,
             key,
             advance_from,
-            next: NEXT_NOT_COMPUTED,
         });
         id
     }
@@ -157,21 +163,13 @@ impl CellArena {
         self.meta[cell as usize].advance_from
     }
 
-    /// The packed `next` pointer.
-    pub fn next(&self, cell: CellId) -> u32 {
-        self.meta[cell as usize].next
-    }
-
-    /// Overwrite the packed `next` pointer.
-    pub fn set_next(&mut self, cell: CellId, next: u32) {
-        self.meta[cell as usize].next = next;
-    }
-
-    /// Bytes one cell occupies (slab slices plus metadata).
+    /// Bytes one cell occupies: slab slices, metadata and the packed
+    /// `next` pointer its cursor keeps for it.
     pub fn bytes_per_cell(&self) -> usize {
         self.out_stride * std::mem::size_of::<Value>()
             + self.ptr_stride * std::mem::size_of::<CellId>()
             + std::mem::size_of::<CellMeta>()
+            + std::mem::size_of::<u32>()
     }
 
     /// Bytes occupied by the stored cells (length-based, so deterministic
@@ -181,9 +179,143 @@ impl CellArena {
     }
 }
 
+/// A cursor's cells of one node: the shared initial cells (ids
+/// `0..base.len()`, read from the immutable `base` arena every accessor
+/// takes) followed by the cells this cursor created, plus the packed
+/// `next` pointer ([`NEXT_NOT_COMPUTED`] / [`NEXT_EXHAUSTED`] / a cell
+/// id) of every cell — the chain is the one thing enumeration writes, so
+/// each cursor keeps its own.
+#[derive(Debug)]
+pub struct CellOverlay {
+    base_len: u32,
+    own: CellArena,
+    next: Vec<u32>,
+}
+
+impl CellOverlay {
+    /// A fresh view over `base`: every chain pointer unset, no own cells.
+    pub fn new(base: &CellArena) -> Self {
+        CellOverlay {
+            base_len: base.len() as u32,
+            own: CellArena::new(base.out_stride, base.ptr_stride),
+            next: vec![NEXT_NOT_COMPUTED; base.len()],
+        }
+    }
+
+    /// Cells visible to the cursor (shared plus own).
+    pub fn len(&self) -> usize {
+        self.next.len()
+    }
+
+    /// Whether the view holds no cells.
+    pub fn is_empty(&self) -> bool {
+        self.next.is_empty()
+    }
+
+    /// The arena holding `cell`, and the cell's index inside it.
+    #[inline]
+    fn locate<'a>(&'a self, base: &'a CellArena, cell: CellId) -> (&'a CellArena, CellId) {
+        if cell < self.base_len {
+            (base, cell)
+        } else {
+            (&self.own, cell - self.base_len)
+        }
+    }
+
+    /// The cell's output over the node's subtree projection attributes.
+    #[inline]
+    pub fn output<'a>(&'a self, base: &'a CellArena, cell: CellId) -> &'a [Value] {
+        let (arena, i) = self.locate(base, cell);
+        arena.output(i)
+    }
+
+    /// The cell's child pointers, in child order.
+    #[inline]
+    pub fn ptrs<'a>(&'a self, base: &'a CellArena, cell: CellId) -> &'a [CellId] {
+        let (arena, i) = self.locate(base, cell);
+        arena.ptrs(i)
+    }
+
+    /// The cell's relation row.
+    #[inline]
+    pub fn row(&self, base: &CellArena, cell: CellId) -> u32 {
+        let (arena, i) = self.locate(base, cell);
+        arena.row(i)
+    }
+
+    /// The cell's anchor-queue id.
+    #[inline]
+    pub fn anchor(&self, base: &CellArena, cell: CellId) -> u32 {
+        let (arena, i) = self.locate(base, cell);
+        arena.anchor(i)
+    }
+
+    /// The cell's `advance_from` child index.
+    #[inline]
+    pub fn advance_from(&self, base: &CellArena, cell: CellId) -> u32 {
+        let (arena, i) = self.locate(base, cell);
+        arena.advance_from(i)
+    }
+
+    /// The packed `next` pointer.
+    #[inline]
+    pub fn next(&self, cell: CellId) -> u32 {
+        self.next[cell as usize]
+    }
+
+    /// Overwrite the packed `next` pointer.
+    #[inline]
+    pub fn set_next(&mut self, cell: CellId, next: u32) {
+        self.next[cell as usize] = next;
+    }
+
+    /// Append an own cell (see [`CellArena::push`]); returns its id, which
+    /// continues after the shared cells.
+    pub fn push(
+        &mut self,
+        row: u32,
+        anchor: u32,
+        key: u32,
+        advance_from: u32,
+        output: &[Value],
+        ptrs: &[CellId],
+    ) -> CellId {
+        let id = self.base_len + self.own.push(row, anchor, key, advance_from, output, ptrs);
+        self.next.push(NEXT_NOT_COMPUTED);
+        id
+    }
+}
+
 /// Approximate per-id bucket overhead of the interner's fingerprint map
 /// (the `u64` fingerprint plus a candidate-list slot).
 const INTERN_BUCKET_BYTES: usize = 16;
+
+/// End of a fingerprint collision chain.
+const NO_ID: u32 = u32::MAX;
+
+/// Hasher for the fingerprint map: a fingerprint already is a hash (or a
+/// small integer for integer keys), so one multiply-xorshift finalizer
+/// spreads it over the table instead of a second SipHash pass.
+#[derive(Default)]
+struct FingerprintHasher(u64);
+
+impl Hasher for FingerprintHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        self.0 = x ^ (x >> 31);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Stores each distinct rank key once and hands out dense `u32` ids.
 ///
@@ -195,8 +327,12 @@ const INTERN_BUCKET_BYTES: usize = 16;
 #[derive(Debug, Default)]
 pub struct KeyInterner<K> {
     keys: Vec<K>,
-    /// fingerprint → candidate ids (almost always one).
-    buckets: HashMap<u64, Vec<u32>>,
+    /// fingerprint → the newest id with that fingerprint.
+    buckets: HashMap<u64, u32, BuildHasherDefault<FingerprintHasher>>,
+    /// Per id, the next older id sharing its fingerprint ([`NO_ID`] ends
+    /// the chain; collisions are rare, so chains are almost always one
+    /// long and interning a new key allocates nothing per key).
+    same_fingerprint: Vec<u32>,
     /// Heap bytes owned by the stored keys (length-based estimate).
     key_heap_bytes: usize,
 }
@@ -206,7 +342,8 @@ impl<K: RankKey> KeyInterner<K> {
     pub fn new() -> Self {
         KeyInterner {
             keys: Vec::new(),
-            buckets: HashMap::new(),
+            buckets: HashMap::default(),
+            same_fingerprint: Vec::new(),
             key_heap_bytes: 0,
         }
     }
@@ -214,19 +351,34 @@ impl<K: RankKey> KeyInterner<K> {
     /// Intern `key`, returning its id and the bytes newly retained
     /// (`0` when the key deduplicated against an existing entry).
     pub fn intern(&mut self, key: K) -> (u32, usize) {
-        let fp = key.fingerprint();
-        let ids = self.buckets.entry(fp).or_default();
-        for &id in ids.iter() {
-            if self.keys[id as usize].cmp(&key) == Ordering::Equal {
-                return (id, 0);
-            }
+        self.intern_fingerprinted(key.fingerprint(), key)
+    }
+
+    /// [`KeyInterner::intern`] with the key's fingerprint already known.
+    fn intern_fingerprinted(&mut self, fp: u64, key: K) -> (u32, usize) {
+        if let Some(id) = self.find(fp, &key) {
+            return (id, 0);
         }
         let id = self.keys.len() as u32;
+        let older = self.buckets.insert(fp, id).unwrap_or(NO_ID);
+        self.same_fingerprint.push(older);
         let bytes = std::mem::size_of::<K>() + key.heap_bytes() + INTERN_BUCKET_BYTES;
         self.key_heap_bytes += key.heap_bytes();
         self.keys.push(key);
-        ids.push(id);
         (id, bytes)
+    }
+
+    /// The id of an already interned key equal to `key` (whose
+    /// fingerprint is `fp`), if any.
+    fn find(&self, fp: u64, key: &K) -> Option<u32> {
+        let mut id = *self.buckets.get(&fp)?;
+        while id != NO_ID {
+            if self.keys[id as usize].cmp(key) == Ordering::Equal {
+                return Some(id);
+            }
+            id = self.same_fingerprint[id as usize];
+        }
+        None
     }
 
     /// The key behind an id.
@@ -257,6 +409,65 @@ impl<K: RankKey> KeyInterner<K> {
     /// Bytes retained by the interner (length-based estimate).
     pub fn bytes(&self) -> usize {
         self.keys.len() * (std::mem::size_of::<K>() + INTERN_BUCKET_BYTES) + self.key_heap_bytes
+    }
+}
+
+/// A cursor's rank keys of one node: the shared interner's keys (ids
+/// `0..base.len()`) followed by keys only this cursor has produced. A new
+/// key deduplicates against both layers, so the ids — and the retained
+/// bytes — a cursor sees are the same as one interner holding both.
+#[derive(Debug)]
+pub struct KeyOverlay<K> {
+    base_len: u32,
+    own: KeyInterner<K>,
+}
+
+impl<K: RankKey> KeyOverlay<K> {
+    /// A fresh view over `base`.
+    pub fn new(base: &KeyInterner<K>) -> Self {
+        KeyOverlay {
+            base_len: base.len() as u32,
+            own: KeyInterner::new(),
+        }
+    }
+
+    /// Intern `key` (see [`KeyInterner::intern`]).
+    pub fn intern(&mut self, base: &KeyInterner<K>, key: K) -> (u32, usize) {
+        let fp = key.fingerprint();
+        if let Some(id) = base.find(fp, &key) {
+            return (id, 0);
+        }
+        let (id, bytes) = self.own.intern_fingerprinted(fp, key);
+        (self.base_len + id, bytes)
+    }
+
+    /// The key behind an id.
+    #[inline]
+    pub fn get<'a>(&'a self, base: &'a KeyInterner<K>, id: u32) -> &'a K {
+        if id < self.base_len {
+            base.get(id)
+        } else {
+            self.own.get(id - self.base_len)
+        }
+    }
+
+    /// Compare two keys by value (see [`KeyInterner::cmp`]).
+    #[inline]
+    pub fn cmp(&self, base: &KeyInterner<K>, a: u32, b: u32) -> Ordering {
+        if a == b {
+            return Ordering::Equal;
+        }
+        self.get(base, a).cmp(self.get(base, b))
+    }
+
+    /// Distinct keys visible to the cursor (shared plus own).
+    pub fn len(&self) -> usize {
+        self.base_len as usize + self.own.len()
+    }
+
+    /// Whether no key is visible.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -360,6 +571,22 @@ impl FrontierHeap {
         top
     }
 
+    /// Sort the entries ascending by `cmp` (a total order). A sorted array
+    /// is a valid min-heap, so the heap stays usable — and its entries can
+    /// be consumed in order without popping (see [`QueueOverlay`]).
+    pub fn sort(&mut self, mut cmp: impl FnMut(FrontierEntry, FrontierEntry) -> Ordering) {
+        self.slots.sort_unstable_by(|&a, &b| cmp(a, b));
+    }
+
+    /// A private copy with the same reserved capacity, so a cursor's
+    /// retained-bytes accounting continues exactly where the original's
+    /// left off.
+    pub fn copy_reserved(&self) -> FrontierHeap {
+        let mut slots = Vec::with_capacity(self.slots.capacity());
+        slots.extend_from_slice(&self.slots);
+        FrontierHeap { slots }
+    }
+
     /// Bytes of reserved entry storage (capacity-based: pops do not return
     /// memory to the allocator).
     pub fn retained_bytes(&self) -> usize {
@@ -369,6 +596,138 @@ impl FrontierHeap {
     /// Bytes of live entries.
     pub fn live_bytes(&self) -> usize {
         self.slots.len() * std::mem::size_of::<FrontierEntry>()
+    }
+}
+
+/// A cursor's anchor queues of one node, over the shared queues
+/// preprocessing built. Each queue is the shared queue's remainder merged
+/// with a heap of the entries this cursor pushed; opening a cursor copies
+/// and allocates nothing per queue.
+///
+/// * **Sorted** shared queues ([`FrontierHeap::sort`] — a sorted array is
+///   also a valid heap) are consumed in place: the cursor keeps how many
+///   entries it popped, and a pop takes the smaller of the next shared
+///   entry and its own heap's top. A queue that never receives a push (a
+///   leaf node's) costs the cursor one counter.
+/// * **Unsorted** shared queues (the root's single queue, whose sort would
+///   cost preprocessing `O(n log n)`) are copied into the cursor's own
+///   heap on their first pop or push.
+///
+/// Both yield the pop sequence of one heap holding every entry: the
+/// comparator is a total order.
+#[derive(Debug)]
+pub struct QueueOverlay {
+    sorted: bool,
+    /// Per anchor: shared entries consumed (popped, or copied into the
+    /// cursor's heap).
+    taken: Vec<u32>,
+    /// Per anchor: `1 + ` the index of its own heap in `heaps`, `0` for
+    /// none yet.
+    slot: Vec<u32>,
+    heaps: Vec<FrontierHeap>,
+}
+
+impl QueueOverlay {
+    /// A fresh view over `anchors` shared queues, sorted or not.
+    pub fn new(anchors: usize, sorted: bool) -> Self {
+        QueueOverlay {
+            sorted,
+            taken: vec![0; anchors],
+            slot: vec![0; anchors],
+            heaps: Vec::new(),
+        }
+    }
+
+    /// The cursor's own heap of queue `anchor`, if it has one.
+    #[inline]
+    fn own(&self, anchor: u32) -> Option<&FrontierHeap> {
+        match self.slot[anchor as usize] {
+            0 => None,
+            s => Some(&self.heaps[s as usize - 1]),
+        }
+    }
+
+    /// The cursor's own heap of queue `anchor`, created on first use — for
+    /// an unsorted shared queue, as a copy of it (with the same reserved
+    /// capacity, so the retained-bytes accounting continues seamlessly).
+    fn own_mut(&mut self, base: &[FrontierHeap], anchor: u32) -> &mut FrontierHeap {
+        let a = anchor as usize;
+        if self.slot[a] == 0 {
+            let heap = if self.sorted {
+                FrontierHeap::new()
+            } else {
+                self.taken[a] = base[a].len() as u32;
+                base[a].copy_reserved()
+            };
+            self.heaps.push(heap);
+            self.slot[a] = self.heaps.len() as u32;
+        }
+        &mut self.heaps[self.slot[a] as usize - 1]
+    }
+
+    /// The next shared entry of queue `anchor` not yet consumed (for an
+    /// unsorted queue only ever its heap top, before the copy).
+    #[inline]
+    fn shared_top(&self, base: &[FrontierHeap], anchor: u32) -> Option<FrontierEntry> {
+        base[anchor as usize]
+            .slots
+            .get(self.taken[anchor as usize] as usize)
+            .copied()
+    }
+
+    /// The minimum entry of queue `anchor`.
+    #[inline]
+    pub fn peek(
+        &self,
+        base: &[FrontierHeap],
+        anchor: u32,
+        mut cmp: impl FnMut(FrontierEntry, FrontierEntry) -> Ordering,
+    ) -> Option<FrontierEntry> {
+        let shared = self.shared_top(base, anchor);
+        match (shared, self.own(anchor).and_then(FrontierHeap::peek)) {
+            (Some(s), Some(o)) => Some(if cmp(o, s) == Ordering::Less { o } else { s }),
+            (s, o) => s.or(o),
+        }
+    }
+
+    /// Remove and return the minimum entry of queue `anchor`.
+    #[inline]
+    pub fn pop(
+        &mut self,
+        base: &[FrontierHeap],
+        anchor: u32,
+        mut cmp: impl FnMut(FrontierEntry, FrontierEntry) -> Ordering,
+    ) -> Option<FrontierEntry> {
+        if !self.sorted {
+            return self.own_mut(base, anchor).pop(cmp);
+        }
+        let shared = self.shared_top(base, anchor);
+        let own = self.own(anchor).and_then(FrontierHeap::peek);
+        match (shared, own) {
+            (Some(s), Some(o)) if cmp(o, s) != Ordering::Less => {
+                self.taken[anchor as usize] += 1;
+                Some(s)
+            }
+            (Some(s), None) => {
+                self.taken[anchor as usize] += 1;
+                Some(s)
+            }
+            (_, Some(_)) => self.own_mut(base, anchor).pop(cmp),
+            (None, None) => None,
+        }
+    }
+
+    /// Insert an entry into queue `anchor`; returns the bytes of freshly
+    /// reserved capacity (see [`FrontierHeap::push`]).
+    #[inline]
+    pub fn push(
+        &mut self,
+        base: &[FrontierHeap],
+        anchor: u32,
+        entry: FrontierEntry,
+        cmp: impl FnMut(FrontierEntry, FrontierEntry) -> Ordering,
+    ) -> usize {
+        self.own_mut(base, anchor).push(entry, cmp)
     }
 }
 
@@ -392,16 +751,85 @@ mod tests {
         assert_eq!(arena.anchor(b), 2);
         assert_eq!(arena.key_id(a), 4);
         assert_eq!(arena.advance_from(a), 1);
-        assert_eq!(arena.next(a), NEXT_NOT_COMPUTED);
-        arena.set_next(a, 1);
-        assert_eq!(arena.next(a), 1);
-        arena.set_next(a, NEXT_EXHAUSTED);
-        assert_eq!(arena.next(a), NEXT_EXHAUSTED);
         assert_eq!(arena.bytes(), 2 * arena.bytes_per_cell());
         assert_eq!(
             arena.bytes_per_cell(),
-            2 * 8 + 3 * 4 + std::mem::size_of::<CellMeta>()
+            2 * 8 + 3 * 4 + std::mem::size_of::<CellMeta>() + 4
         );
+    }
+
+    #[test]
+    fn overlay_appends_after_shared_cells_and_owns_the_chain() {
+        let mut base = CellArena::new(1, 0);
+        base.push(0, 0, 0, 0, &[10], &[]);
+        base.push(1, 1, 1, 0, &[20], &[]);
+        let mut a = CellOverlay::new(&base);
+        let mut b = CellOverlay::new(&base);
+        assert_eq!(a.len(), 2);
+        assert_eq!(a.next(0), NEXT_NOT_COMPUTED);
+        let own = a.push(7, 1, 2, 0, &[30], &[]);
+        assert_eq!(own, 2, "own ids continue after the shared cells");
+        assert_eq!(a.output(&base, 1), &[20]);
+        assert_eq!(a.output(&base, own), &[30]);
+        assert_eq!(a.row(&base, own), 7);
+        assert_eq!(a.anchor(&base, own), 1);
+        a.set_next(0, own);
+        a.set_next(own, NEXT_EXHAUSTED);
+        assert_eq!(a.next(0), own);
+        assert_eq!(a.next(own), NEXT_EXHAUSTED);
+        // The other cursor's view is untouched.
+        assert_eq!(b.len(), 2);
+        assert_eq!(b.next(0), NEXT_NOT_COMPUTED);
+        assert_eq!(b.push(9, 0, 0, 0, &[40], &[]), 2);
+        assert_eq!(b.output(&base, 2), &[40]);
+    }
+
+    #[test]
+    fn key_overlay_dedups_against_both_layers() {
+        let mut base: KeyInterner<u64> = KeyInterner::new();
+        base.intern(5);
+        base.intern(9);
+        let mut own = KeyOverlay::new(&base);
+        assert_eq!(own.intern(&base, 9), (1, 0), "shared keys keep their ids");
+        let (id, bytes) = own.intern(&base, 7);
+        assert_eq!(id, 2);
+        assert!(bytes > 0);
+        assert_eq!(own.intern(&base, 7), (2, 0));
+        assert_eq!(*own.get(&base, id), 7);
+        assert_eq!(own.cmp(&base, 0, id), Ordering::Less);
+        assert_eq!(own.cmp(&base, 1, id), Ordering::Greater);
+        assert_eq!(own.len(), 3);
+        assert_eq!(base.len(), 2, "the shared interner never grows");
+    }
+
+    #[test]
+    fn queue_overlay_merges_shared_and_own_entries_in_order() {
+        let cmp = |a: FrontierEntry, b: FrontierEntry| a.key.cmp(&b.key);
+        let entry = |key| FrontierEntry { key, cell: key };
+        for sorted in [true, false] {
+            let mut shared = FrontierHeap::new();
+            for key in [3, 1, 5] {
+                shared.push(entry(key), cmp);
+            }
+            if sorted {
+                shared.sort(cmp);
+            }
+            let base = vec![shared];
+            let mut q = QueueOverlay::new(1, sorted);
+            assert_eq!(q.peek(&base, 0, cmp).map(|e| e.key), Some(1));
+            assert_eq!(q.pop(&base, 0, cmp).map(|e| e.key), Some(1));
+            q.push(&base, 0, entry(2), cmp);
+            q.push(&base, 0, entry(4), cmp);
+            let mut rest = Vec::new();
+            while let Some(e) = q.pop(&base, 0, cmp) {
+                rest.push(e.key);
+            }
+            assert_eq!(rest, vec![2, 3, 4, 5], "sorted: {sorted}");
+            assert_eq!(base[0].len(), 3, "the shared queue is never mutated");
+            // A second cursor sees the untouched shared queue.
+            let fresh = QueueOverlay::new(1, sorted);
+            assert_eq!(fresh.peek(&base, 0, cmp).map(|e| e.key), Some(1));
+        }
     }
 
     #[test]

@@ -67,9 +67,10 @@ use re_query::{JoinProjectQuery, JoinTree};
 use re_ranking::{Direction, LexRanking, Weight, WeightAssignment};
 use re_storage::{Attr, Database, Relation, SortedIndex, Tuple, Value};
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::{Arc, OnceLock};
 
-/// Probes an unbuilt [`LazyIndex`] answers by scanning before the build
-/// triggers. A scan is one `O(|rel|)` filter pass; a build is a grouping
+/// Probes of an unbuilt [`SharedIndex`] a cursor answers by scanning
+/// before it builds the index. A scan is one `O(|rel|)` filter pass; a build is a grouping
 /// pass with an allocation per distinct key — several times costlier — so
 /// small-`k` enumerations that touch an index once or twice come out ahead
 /// never building it, while deep enumerations build on the third touch and
@@ -77,54 +78,59 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 pub const LAZY_BUILD_TOUCHES: u32 = 2;
 
 /// A grouped-adjacency index built on demand (see the module docs): the
-/// spec is derived at plan time, the build happens at the
-/// [`LAZY_BUILD_TOUCHES`]`+ 1`-th probe.
-struct LazyIndex {
+/// spec is derived at plan time; the build happens at most once per
+/// [`PreparedLexi`], in a shared cell, the first time any cursor's probe
+/// count passes [`LAZY_BUILD_TOUCHES`].
+struct SharedIndex {
     /// Key attributes of the index.
     key_attrs: Vec<Attr>,
     /// Positions of the key attributes in the node's relation (validated
     /// at plan time, which is what makes the lazy build infallible).
     key_pos: Vec<usize>,
-    /// Probes served so far (scans + index lookups).
-    touches: u32,
-    built: Option<SortedIndex>,
+    built: OnceLock<SortedIndex>,
 }
 
-impl LazyIndex {
-    /// Count a probe; build once the scan warm-up is exhausted. The build
-    /// runs through the enumerator's [`ExecContext`] — morsel-parallel on
-    /// a pooled context, byte-identical to the serial build by the
-    /// `re_exec` determinism contract — so deferring it out of
-    /// preprocessing does not serialise it. Returns the built index if
-    /// available.
+impl SharedIndex {
+    /// Count a probe on the cursor's own `touches` counter; build (or
+    /// adopt the already built) index once the cursor's scan warm-up is
+    /// exhausted. The build runs through the *cursor's* [`ExecContext`] —
+    /// morsel-parallel on a pooled context, byte-identical to the serial
+    /// build by the `re_exec` determinism contract — so deferring it out of
+    /// preprocessing does not serialise it. The cursor accounts the
+    /// index's bytes when its own count crosses the threshold, whoever
+    /// built it, so its accounting does not depend on other cursors.
+    /// Returns the built index if available.
     fn touch<'a>(
-        idx: &'a mut LazyIndex,
+        &'a self,
+        touches: &mut u32,
         ctx: &ExecContext,
         rel: &Relation,
         stats: &mut EnumStats,
     ) -> Option<&'a SortedIndex> {
-        idx.touches += 1;
-        if idx.built.is_none() && idx.touches > LAZY_BUILD_TOUCHES {
-            let built = par_sorted_index(ctx, rel, &idx.key_attrs)
-                .expect("index key attributes were validated at plan time");
+        *touches += 1;
+        if *touches == LAZY_BUILD_TOUCHES + 1 {
+            let built = self.built.get_or_init(|| {
+                par_sorted_index(ctx, rel, &self.key_attrs)
+                    .expect("index key attributes were validated at plan time")
+            });
             let bytes = built.bytes() as u64;
             stats.frontier_alloc(bytes, bytes);
-            idx.built = Some(built);
         }
-        idx.built.as_ref()
+        self.built.get()
     }
 
     /// Rows matching `key`, in ascending storage order — from the index
     /// when built, by scan otherwise (identical results: the index groups
     /// rows ascending per key).
     fn rows_for(
-        &mut self,
+        &self,
+        touches: &mut u32,
         ctx: &ExecContext,
         rel: &Relation,
         key: &[Value],
         stats: &mut EnumStats,
     ) -> Vec<u32> {
-        if let Some(index) = Self::touch(self, ctx, rel, stats) {
+        if let Some(index) = self.touch(touches, ctx, rel, stats) {
             return index.rows(key).to_vec();
         }
         let pos = &self.key_pos;
@@ -144,15 +150,17 @@ impl LazyIndex {
     /// every downstream consumer is order-insensitive (semi-join
     /// membership, distinct-value collection, total `(weight, value)`
     /// candidate sort).
+    #[allow(clippy::too_many_arguments)]
     fn union_rows(
-        &mut self,
+        &self,
+        touches: &mut u32,
         ctx: &ExecContext,
         rel: &Relation,
         key_list: &[Tuple],
         key_set: &HashSet<Tuple>,
         stats: &mut EnumStats,
     ) -> Vec<u32> {
-        if let Some(index) = Self::touch(self, ctx, rel, stats) {
+        if let Some(index) = self.touch(touches, ctx, rel, stats) {
             let mut merged: Vec<u32> = Vec::new();
             for k in key_list {
                 merged.extend_from_slice(index.rows(k));
@@ -223,9 +231,12 @@ struct Frame {
     next: usize,
 }
 
-/// Ranked enumerator for lexicographic orders based on preprocessing-time
-/// grouped-adjacency indexes and memoized candidate cells (Algorithm 3).
-pub struct LexiEnumerator {
+/// The preprocessing phase of Algorithm 3, done once and shared: the
+/// reduced relations, the per-level plans, the lazily built shared
+/// indexes and the level-0 candidate list (it depends on no prefix).
+/// Cursors ([`LexiEnumerator`]) keep their memoized cells, touch counters
+/// and backtracking stack privately.
+pub struct PreparedLexi {
     /// Projection attributes in the user-requested (output) order.
     projection: Vec<Attr>,
     /// Projection attributes in lexicographic priority order, with their
@@ -235,15 +246,41 @@ pub struct LexiEnumerator {
     output_perm: Vec<usize>,
     /// The reduced per-node relations — owned, and never cloned again.
     relations: Vec<Relation>,
-    /// Lazily built grouped-adjacency indexes shared by all level plans.
-    indexes: Vec<LazyIndex>,
-    /// The execution context lazy index builds run under (the same one
-    /// preprocessing used) — pooled contexts keep deferred builds
-    /// morsel-parallel.
-    exec: ExecContext,
+    /// Lazily built grouped-adjacency indexes shared by all level plans
+    /// and all cursors.
+    indexes: Vec<SharedIndex>,
     levels: Vec<LevelPlan>,
     weights: WeightAssignment,
-    /// Cell arena: weight-sorted candidate lists.
+    /// Level 0's weight-sorted candidates (cell 0 of every cursor); `None`
+    /// for an empty join.
+    initial: Option<Vec<Value>>,
+    /// Reducer counters and the level-0 cell's bytes, inherited by every
+    /// cursor.
+    stats: EnumStats,
+    /// Bytes of the relations and the level-0 list (built indexes come on
+    /// top, see [`PreparedLexi::bytes`]).
+    static_bytes: u64,
+}
+
+/// Bytes a memoized candidate cell and its memo entry retain.
+fn cell_bytes(list_len: usize, key_len: usize) -> u64 {
+    ((list_len + key_len) * std::mem::size_of::<Value>()
+        + std::mem::size_of::<Vec<Value>>()
+        + std::mem::size_of::<u32>()) as u64
+}
+
+/// Ranked enumerator for lexicographic orders based on preprocessing-time
+/// level plans, shared lazily built grouped-adjacency indexes and memoized
+/// candidate cells (Algorithm 3): a cursor over a shared [`PreparedLexi`].
+pub struct LexiEnumerator {
+    prepared: Arc<PreparedLexi>,
+    /// The cursor's execution context: lazy index builds run under it (a
+    /// pooled context keeps deferred builds morsel-parallel).
+    exec: ExecContext,
+    /// Probes this cursor made per shared index.
+    touches: Vec<u32>,
+    /// Memoized candidate lists beyond the shared level-0 list: cell id
+    /// `i ≥ 1` is `cells[i - 1]`.
     cells: Vec<Vec<Value>>,
     /// Per level: dependency sub-prefix → cell id.
     memo: Vec<HashMap<Tuple, u32>>,
@@ -342,24 +379,14 @@ fn mark_keep(children: &[Vec<usize>], marked: &[bool], keep: &mut [bool], u: usi
     k
 }
 
-impl LexiEnumerator {
-    /// Build the enumerator for an acyclic query under a lexicographic
-    /// ranking. Attributes of the ranking that are not projected are
+impl PreparedLexi {
+    /// Preprocess an acyclic query under a lexicographic ranking: one
+    /// full-reducer pass under `ctx`, the level plans and the level-0
+    /// candidates. Attributes of the ranking that are not projected are
     /// ignored; projected attributes missing from the ranking order are
-    /// appended (ascending) after the declared ones.
-    pub fn new(
-        query: &JoinProjectQuery,
-        db: &Database,
-        ranking: &LexRanking,
-    ) -> Result<Self, EnumError> {
-        Self::new_ctx(query, db, ranking, &ExecContext::serial())
-    }
-
-    /// [`LexiEnumerator::new`] with the preprocessing pass — the full
-    /// reducer and the grouped-adjacency index builds — running under
-    /// `ctx`. The enumerator, and therefore every emitted answer, is
-    /// identical to the serial build at any thread count.
-    pub fn new_ctx(
+    /// appended (ascending) after the declared ones. Identical to the
+    /// serial build at any thread count.
+    pub fn prepare(
         query: &JoinProjectQuery,
         db: &Database,
         ranking: &LexRanking,
@@ -380,34 +407,39 @@ impl LexiEnumerator {
             })
             .collect();
 
-        let mut this = LexiEnumerator {
+        let mut this = PreparedLexi {
             projection: query.projection().to_vec(),
             attr_order,
             output_perm,
             relations,
             indexes: Vec::new(),
-            exec: ctx.clone(),
             levels: Vec::new(),
             weights: ranking.weights().clone(),
-            cells: Vec::new(),
-            memo: Vec::new(),
-            prefix: Vec::new(),
-            stack: Vec::new(),
+            initial: None,
             stats: EnumStats::new(),
+            static_bytes: 0,
         };
         this.stats
             .record_reduce(rstats.passes, rstats.input_rows, rstats.output_rows);
-        if this.relations.iter().any(|r| r.is_empty()) {
-            return Ok(this); // empty join: nothing to index, nothing to emit
+        if !this.relations.iter().any(|r| r.is_empty()) {
+            this.build_plans(&tree)?;
+            // Level 0 probes no index (no attribute is bound yet).
+            let mut touches = vec![0; this.indexes.len()];
+            let mut stats = std::mem::take(&mut this.stats);
+            let list = compute_candidates(&this, &mut touches, ctx, &[], &mut stats, 0);
+            let bytes = cell_bytes(list.len(), 0);
+            stats.frontier_alloc(bytes, bytes);
+            stats.record_cell();
+            this.stats = stats;
+            this.initial = Some(list);
         }
-        this.build_plans(&tree)?;
-        this.memo = (0..this.attr_order.len()).map(|_| HashMap::new()).collect();
-        let cell = this.cell_for(0);
-        this.stack.push(Frame {
-            level: 0,
-            cell,
-            next: 0,
-        });
+        this.static_bytes = (this
+            .relations
+            .iter()
+            .map(Relation::value_count)
+            .sum::<usize>()
+            + this.initial.as_ref().map_or(0, Vec::len)) as u64
+            * std::mem::size_of::<Value>() as u64;
         Ok(this)
     }
 
@@ -541,17 +573,16 @@ impl LexiEnumerator {
             });
         }
         // Register the interned index specs; the builds are deferred to
-        // first sustained use (see [`LazyIndex`]). Positions are resolved
+        // first sustained use (see [`SharedIndex`]). Positions are resolved
         // here so the lazy path cannot fail.
         self.indexes = index_specs
             .into_iter()
             .map(|(node, key)| {
                 let key_pos = self.relations[node].positions(&key)?;
-                Ok(LazyIndex {
+                Ok(SharedIndex {
                     key_attrs: key,
                     key_pos,
-                    touches: 0,
-                    built: None,
+                    built: OnceLock::new(),
                 })
             })
             .collect::<Result<Vec<_>, EnumError>>()?;
@@ -559,10 +590,184 @@ impl LexiEnumerator {
         Ok(())
     }
 
-    /// The memoized cell for `level` under the current prefix, building
-    /// (and counting) it on first use.
+    /// Bytes retained: the reduced relations, the level-0 list and every
+    /// index built so far.
+    pub fn bytes(&self) -> u64 {
+        self.static_bytes
+            + self
+                .indexes
+                .iter()
+                .filter_map(|i| i.built.get())
+                .map(|b| b.bytes() as u64)
+                .sum::<u64>()
+    }
+}
+
+/// Run the level's bottom-up schedule over row-id lists and return the
+/// weight-sorted candidate values for the bound `prefix`. Pure probes and
+/// list merges — no relation is copied, no reducer runs; unbuilt indexes
+/// answer by scan until their lazy build triggers (see [`SharedIndex`]).
+fn compute_candidates(
+    shared: &PreparedLexi,
+    touches: &mut [u32],
+    exec: &ExecContext,
+    prefix: &[Value],
+    stats: &mut EnumStats,
+    level: usize,
+) -> Vec<Value> {
+    let PreparedLexi {
+        levels,
+        relations,
+        indexes,
+        weights,
+        attr_order,
+        ..
+    } = shared;
+    let plan = &levels[level];
+    // `None` = all rows of the step's relation are live.
+    let mut live: Vec<Option<Vec<u32>>> = Vec::with_capacity(plan.steps.len());
+    let mut key: Tuple = Vec::new();
+    for step in &plan.steps {
+        let rel = &relations[step.node];
+        let mut rows: Option<Vec<u32>> = match &step.bound {
+            Some((idx, bound_levels)) => {
+                key.clear();
+                key.extend(bound_levels.iter().map(|&l| prefix[l]));
+                Some(indexes[*idx].rows_for(&mut touches[*idx], exec, rel, &key, stats))
+            }
+            None => None,
+        };
+        for link in &step.children {
+            let child_rel = &relations[plan.steps[link.child_slot].node];
+            // Invariant: a child step always resolved to a concrete row
+            // list — it is either marked (bound probe) or was itself
+            // filtered through one of its children. Only the schedule
+            // root, which no link ever references, can stay `None`.
+            let child_rows = live[link.child_slot]
+                .as_deref()
+                .expect("non-root steps always resolve a row list");
+            let (key_list, key_set) = collect_keys(
+                child_rows.iter().map(|&r| child_rel.tuple(r as usize)),
+                &link.child_key_pos,
+            );
+            match rows {
+                None => {
+                    rows = Some(indexes[link.index].union_rows(
+                        &mut touches[link.index],
+                        exec,
+                        rel,
+                        &key_list,
+                        &key_set,
+                        stats,
+                    ));
+                }
+                Some(ref mut r) => {
+                    let pos = &link.node_key_pos;
+                    let mut buf: Tuple = Vec::with_capacity(pos.len());
+                    r.retain(|&row| {
+                        let t = rel.tuple(row as usize);
+                        buf.clear();
+                        buf.extend(pos.iter().map(|&p| t[p]));
+                        key_set.contains(buf.as_slice())
+                    });
+                }
+            }
+            if matches!(rows.as_deref(), Some([])) {
+                return Vec::new();
+            }
+        }
+        live.push(rows);
+    }
+    // Distinct values of the level's attribute among the root's rows.
+    let root = plan.steps.last().expect("schedule contains the root");
+    let rel = &relations[root.node];
+    let p = plan.attr_pos;
+    let mut seen: HashSet<Value> = HashSet::new();
+    let mut values: Vec<Value> = Vec::new();
+    match live.last().expect("one live entry per step") {
+        Some(rows) => {
+            for &row in rows {
+                let v = rel.tuple(row as usize)[p];
+                if seen.insert(v) {
+                    values.push(v);
+                }
+            }
+        }
+        None => {
+            for t in rel.iter() {
+                let v = t[p];
+                if seen.insert(v) {
+                    values.push(v);
+                }
+            }
+        }
+    }
+    sort_candidates(weights, &attr_order[level].0, plan.dir, &mut values);
+    values
+}
+
+impl LexiEnumerator {
+    /// Build the enumerator for an acyclic query under a lexicographic
+    /// ranking (see [`PreparedLexi::prepare`] for the order semantics).
+    pub fn new(
+        query: &JoinProjectQuery,
+        db: &Database,
+        ranking: &LexRanking,
+    ) -> Result<Self, EnumError> {
+        Self::new_ctx(query, db, ranking, &ExecContext::serial())
+    }
+
+    /// [`LexiEnumerator::new`] with the preprocessing pass — and this
+    /// cursor's lazy index builds — running under `ctx`. The enumerator,
+    /// and therefore every emitted answer, is identical to the serial
+    /// build at any thread count.
+    pub fn new_ctx(
+        query: &JoinProjectQuery,
+        db: &Database,
+        ranking: &LexRanking,
+        ctx: &ExecContext,
+    ) -> Result<Self, EnumError> {
+        let prepared = PreparedLexi::prepare(query, db, ranking, ctx)?;
+        Ok(Self::open(Arc::new(prepared), ctx))
+    }
+
+    /// Open a cursor on a prepared part; its lazy index builds run under
+    /// `ctx`.
+    pub fn open(prepared: Arc<PreparedLexi>, ctx: &ExecContext) -> Self {
+        let mut stack = Vec::new();
+        if prepared.initial.is_some() {
+            stack.push(Frame {
+                level: 0,
+                cell: 0,
+                next: 0,
+            });
+        }
+        LexiEnumerator {
+            exec: ctx.clone(),
+            touches: vec![0; prepared.indexes.len()],
+            cells: Vec::new(),
+            memo: (0..prepared.attr_order.len())
+                .map(|_| HashMap::new())
+                .collect(),
+            prefix: Vec::new(),
+            stack,
+            stats: prepared.stats.clone(),
+            prepared,
+        }
+    }
+
+    /// The candidate list behind a cell id.
+    fn cell(&self, id: u32) -> &[Value] {
+        match id {
+            0 => self.prepared.initial.as_deref().unwrap_or_default(),
+            _ => &self.cells[id as usize - 1],
+        }
+    }
+
+    /// The memoized cell for `level ≥ 1` under the current prefix,
+    /// building (and counting) it on first use.
     fn cell_for(&mut self, level: usize) -> u32 {
-        let key: Tuple = self.levels[level]
+        let key: Tuple = self.prepared.levels[level]
             .dep
             .iter()
             .map(|&l| self.prefix[l])
@@ -571,120 +776,30 @@ impl LexiEnumerator {
             self.stats.record_cell_reuse();
             return id;
         }
-        let list = self.compute_candidates(level);
-        let id = self.cells.len() as u32;
+        let list = compute_candidates(
+            &self.prepared,
+            &mut self.touches,
+            &self.exec,
+            &self.prefix,
+            &mut self.stats,
+            level,
+        );
         // The memoized cell and its memo entry are retained for the
-        // enumerator's lifetime — account them like the general engine's
+        // cursor's lifetime — account them like the general engine's
         // frontier.
-        let bytes = ((list.len() + key.len()) * std::mem::size_of::<Value>()
-            + std::mem::size_of::<Vec<Value>>()
-            + std::mem::size_of::<u32>()) as u64;
+        let bytes = cell_bytes(list.len(), key.len());
         self.stats.frontier_alloc(bytes, bytes);
         self.cells.push(list);
+        let id = self.cells.len() as u32;
         self.memo[level].insert(key, id);
         self.stats.record_cell();
         id
     }
 
-    /// Run the level's bottom-up schedule over row-id lists and return the
-    /// weight-sorted candidate values. Pure probes and list merges — no
-    /// relation is copied, no reducer runs; unbuilt indexes answer by scan
-    /// until their lazy build triggers (see [`LazyIndex`]).
-    fn compute_candidates(&mut self, level: usize) -> Vec<Value> {
-        // Split borrows: the plan is read from `levels` while the lazy
-        // indexes mutate (touch counters, deferred builds).
-        let LexiEnumerator {
-            levels,
-            relations,
-            indexes,
-            exec,
-            weights,
-            attr_order,
-            prefix,
-            stats,
-            ..
-        } = self;
-        let plan = &levels[level];
-        // `None` = all rows of the step's relation are live.
-        let mut live: Vec<Option<Vec<u32>>> = Vec::with_capacity(plan.steps.len());
-        let mut key: Tuple = Vec::new();
-        for step in &plan.steps {
-            let rel = &relations[step.node];
-            let mut rows: Option<Vec<u32>> = match &step.bound {
-                Some((idx, bound_levels)) => {
-                    key.clear();
-                    key.extend(bound_levels.iter().map(|&l| prefix[l]));
-                    Some(indexes[*idx].rows_for(exec, rel, &key, stats))
-                }
-                None => None,
-            };
-            for link in &step.children {
-                let child_rel = &relations[plan.steps[link.child_slot].node];
-                // Invariant: a child step always resolved to a concrete row
-                // list — it is either marked (bound probe) or was itself
-                // filtered through one of its children. Only the schedule
-                // root, which no link ever references, can stay `None`.
-                let child_rows = live[link.child_slot]
-                    .as_deref()
-                    .expect("non-root steps always resolve a row list");
-                let (key_list, key_set) = collect_keys(
-                    child_rows.iter().map(|&r| child_rel.tuple(r as usize)),
-                    &link.child_key_pos,
-                );
-                match rows {
-                    None => {
-                        rows = Some(
-                            indexes[link.index].union_rows(exec, rel, &key_list, &key_set, stats),
-                        );
-                    }
-                    Some(ref mut r) => {
-                        let pos = &link.node_key_pos;
-                        let mut buf: Tuple = Vec::with_capacity(pos.len());
-                        r.retain(|&row| {
-                            let t = rel.tuple(row as usize);
-                            buf.clear();
-                            buf.extend(pos.iter().map(|&p| t[p]));
-                            key_set.contains(buf.as_slice())
-                        });
-                    }
-                }
-                if matches!(rows.as_deref(), Some([])) {
-                    return Vec::new();
-                }
-            }
-            live.push(rows);
-        }
-        // Distinct values of the level's attribute among the root's rows.
-        let root = plan.steps.last().expect("schedule contains the root");
-        let rel = &relations[root.node];
-        let p = plan.attr_pos;
-        let mut seen: HashSet<Value> = HashSet::new();
-        let mut values: Vec<Value> = Vec::new();
-        match live.last().expect("one live entry per step") {
-            Some(rows) => {
-                for &row in rows {
-                    let v = rel.tuple(row as usize)[p];
-                    if seen.insert(v) {
-                        values.push(v);
-                    }
-                }
-            }
-            None => {
-                for t in rel.iter() {
-                    let v = t[p];
-                    if seen.insert(v) {
-                        values.push(v);
-                    }
-                }
-            }
-        }
-        sort_candidates(weights, &attr_order[level].0, plan.dir, &mut values);
-        values
-    }
-
     fn emit(&self, last: Value) -> Tuple {
-        let m = self.attr_order.len();
-        self.output_perm
+        let m = self.prepared.attr_order.len();
+        self.prepared
+            .output_perm
             .iter()
             .map(|&p| if p + 1 == m { last } else { self.prefix[p] })
             .collect()
@@ -693,12 +808,12 @@ impl LexiEnumerator {
     /// The lexicographic attribute order actually used (projection
     /// attributes only).
     pub fn attr_order(&self) -> &[(Attr, Direction)] {
-        &self.attr_order
+        &self.prepared.attr_order
     }
 
     /// The projection attributes, in output order.
     pub fn output_attrs(&self) -> &[Attr] {
-        &self.projection
+        &self.prepared.projection
     }
 
     /// Enumeration statistics.
@@ -706,23 +821,31 @@ impl LexiEnumerator {
         &self.stats
     }
 
-    /// Number of memoized candidate cells currently held — the enumerator's
-    /// dominant memory cost beyond the reduced relations and indexes.
+    /// Number of memoized candidate cells this cursor sees (the shared
+    /// level-0 list plus its own) — the enumerator's dominant memory cost
+    /// beyond the reduced relations and indexes.
     pub fn cell_count(&self) -> usize {
-        self.cells.len()
+        match self.prepared.initial {
+            Some(_) => 1 + self.cells.len(),
+            None => 0,
+        }
     }
 
     /// Grouped-adjacency indexes registered by the level plans (an upper
     /// bound on what enumeration may ever build).
     pub fn indexes_planned(&self) -> usize {
-        self.indexes.len()
+        self.prepared.indexes.len()
     }
 
-    /// Indexes actually built so far. Lazy construction means a shallow
+    /// Shared indexes built so far. Lazy construction means a shallow
     /// (`LIMIT k` with small `k`) enumeration typically builds none — the
     /// first [`LAZY_BUILD_TOUCHES`] probes per index are served by scans.
     pub fn indexes_built(&self) -> usize {
-        self.indexes.iter().filter(|i| i.built.is_some()).count()
+        self.prepared
+            .indexes
+            .iter()
+            .filter(|i| i.built.get().is_some())
+            .count()
     }
 }
 
@@ -730,21 +853,20 @@ impl Iterator for LexiEnumerator {
     type Item = Tuple;
 
     fn next(&mut self) -> Option<Tuple> {
-        let m = self.attr_order.len();
+        let m = self.prepared.attr_order.len();
         loop {
             let (level, cell, cursor) = match self.stack.last() {
                 None => return None,
-                Some(f) => (f.level, f.cell as usize, f.next),
+                Some(f) => (f.level, f.cell, f.next),
             };
-            if cursor >= self.cells[cell].len() {
+            let Some(&value) = self.cell(cell).get(cursor) else {
                 self.stack.pop();
                 if level > 0 {
                     self.prefix.pop();
                 }
                 continue;
-            }
+            };
             self.stack.last_mut().expect("frame just read").next += 1;
-            let value = self.cells[cell][cursor];
             if level + 1 == m {
                 self.stats.record_answer();
                 return Some(self.emit(value));

@@ -20,6 +20,13 @@
 //! All enumerators are plain [`Iterator`]s over owned output tuples in the
 //! user's projection order; [`EnumStats`] exposes the priority-queue
 //! operation counts used for the paper's empirical-delay figure.
+//!
+//! Each enumerator is split along the paper's two phases: a `Prepared*`
+//! type holds the immutable result of preprocessing (reduced relations,
+//! rank plans, indexes, bags, the initial frontier) and is shared behind
+//! an `Arc`; the enumerator itself is a cursor opened on it with
+//! `open`, owning only what enumeration mutates. `new`/`new_ctx` are
+//! `prepare` followed by `open`.
 
 pub mod acyclic;
 pub mod auto;
@@ -35,19 +42,23 @@ pub mod stats;
 pub mod stream;
 pub mod union;
 
-pub use acyclic::AcyclicEnumerator;
-pub use auto::{lexi_serves, select, select_ranked, top_k, Algorithm, RankedEnumerator};
+pub use acyclic::{AcyclicEnumerator, PreparedAcyclic};
+pub use auto::{
+    lexi_serves, prepare_ranked, select, select_ranked, top_k, Algorithm, RankedEnumerator,
+};
 pub use cell::{Cell, CellId, HeapEntry, NextPtr};
-pub use cyclic::{BagDetail, CyclicEnumerator, GhdReport};
+pub use cyclic::{BagDetail, CyclicEnumerator, GhdReport, PreparedCyclic};
 pub use error::EnumError;
-pub use frontier::{CellArena, FrontierEntry, FrontierHeap, KeyInterner};
-pub use lexi::{LexiEnumerator, ReferenceLexi};
+pub use frontier::{
+    CellArena, CellOverlay, FrontierEntry, FrontierHeap, KeyInterner, KeyOverlay, QueueOverlay,
+};
+pub use lexi::{LexiEnumerator, PreparedLexi, ReferenceLexi};
 pub use reference::ReferenceAcyclic;
 // Re-exported so downstream layers (SQL cursors, the server) can accept an
 // execution context and size pools without depending on `re_exec` directly.
 pub use re_exec::{machine_threads, CancelKind, CancelToken, ExecContext, PoolStats, WorkerPool};
 pub use re_obs::{HistSnapshot, LocalHistogram, TimingBreakdown};
-pub use star::StarEnumerator;
+pub use star::{PreparedStar, StarEnumerator};
 pub use stats::{EnumStats, SharedStats, StatsSnapshot};
-pub use stream::{InstrumentedStream, RankedStream};
-pub use union::UnionEnumerator;
+pub use stream::{InstrumentedStream, PreparedStream, RankedStream};
+pub use union::{PreparedUnion, UnionEnumerator};

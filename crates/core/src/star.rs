@@ -18,7 +18,7 @@
 //! Choosing `δ = |D|^{1-ε}` yields the tradeoff of Theorem 2: delay
 //! `O(|D|^{1-ε} log |D|)` with `O(|D|^{1+(m-1)ε})` preprocessing.
 
-use crate::acyclic::AcyclicEnumerator;
+use crate::acyclic::{AcyclicEnumerator, PreparedAcyclic};
 use crate::error::EnumError;
 use crate::merge::MergeEntry;
 use crate::stats::{EnumStats, StatsSnapshot};
@@ -30,37 +30,30 @@ use re_ranking::Ranking;
 use re_storage::{Attr, Database, HashIndex, Relation, Tuple};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
-/// Ranked enumerator for star queries with a tunable degree threshold.
-pub struct StarEnumerator<R: Ranking + Clone> {
+/// The preprocessing phase of the star data structure, done once and
+/// shared: the sorted all-heavy output `O_H` and one prepared acyclic part
+/// per sub-query `Q_i`. The heavy/light split relations and the per-`Q_i`
+/// working databases are build-time only.
+pub struct PreparedStar<R: Ranking + Clone> {
     ranking: R,
     projection: Vec<Attr>,
     threshold: usize,
     /// All-heavy output, sorted by `(key, tuple)`.
     heavy: Vec<(R::Key, Tuple)>,
-    heavy_cursor: usize,
-    /// One acyclic enumerator per sub-query `Q_i`.
-    subs: Vec<AcyclicEnumerator<R>>,
-    pq: BinaryHeap<Reverse<MergeEntry<R::Key>>>,
+    subs: Vec<Arc<PreparedAcyclic<R>>>,
+    /// Reducer counters and the heavy output's bytes, inherited by every
+    /// cursor.
     stats: EnumStats,
 }
 
-impl<R: Ranking + Clone> StarEnumerator<R> {
-    /// Build the enumerator with an explicit degree threshold `δ ≥ 1`.
-    pub fn new(
-        query: &JoinProjectQuery,
-        db: &Database,
-        ranking: R,
-        threshold: usize,
-    ) -> Result<Self, EnumError> {
-        Self::new_ctx(query, db, ranking, threshold, &ExecContext::serial())
-    }
-
-    /// [`StarEnumerator::new`] with the preprocessing — full reducer and
-    /// the all-heavy output materialisation (the `O_H` join + distinct of
-    /// Algorithm 4, the expensive part at small δ) — running under `ctx`.
-    /// Identical output at any thread count.
-    pub fn new_ctx(
+impl<R: Ranking + Clone> PreparedStar<R> {
+    /// Preprocess with an explicit degree threshold `δ ≥ 1`: the full
+    /// reducer and the all-heavy output materialisation (the `O_H` join +
+    /// distinct of Algorithm 4, the expensive part at small δ) run under
+    /// `ctx`. Identical output at any thread count.
+    pub fn prepare(
         query: &JoinProjectQuery,
         db: &Database,
         ranking: R,
@@ -121,7 +114,7 @@ impl<R: Ranking + Clone> StarEnumerator<R> {
         }
 
         // Sub-queries Q_i: heavy before i, light at i, unrestricted after.
-        let mut subs: Vec<AcyclicEnumerator<R>> = Vec::with_capacity(m);
+        let mut subs: Vec<Arc<PreparedAcyclic<R>>> = Vec::with_capacity(m);
         if !empty {
             for i in 0..m {
                 let mut sub_db = Database::new();
@@ -142,39 +135,19 @@ impl<R: Ranking + Clone> StarEnumerator<R> {
                 let sub_query = JoinProjectQuery::new(atoms, projection.clone())?;
                 // Join tree T_i: R_i as root, all other relations as children.
                 let sub_tree = JoinTree::build_rooted(&sub_query, i)?;
-                subs.push(AcyclicEnumerator::with_tree_ctx(
+                subs.push(Arc::new(PreparedAcyclic::prepare_with_tree(
                     &sub_query,
                     &sub_db,
                     ranking.clone(),
                     sub_tree,
                     ctx,
-                )?);
+                )?));
             }
-        }
-
-        // Seed the (m+1)-way merge.
-        let mut pq = BinaryHeap::new();
-        for (i, sub) in subs.iter_mut().enumerate() {
-            if let Some(tuple) = sub.next() {
-                let key = ranking.key_of(&projection, &tuple);
-                pq.push(Reverse(MergeEntry {
-                    key,
-                    tuple,
-                    source: i,
-                }));
-            }
-        }
-        if let Some((key, tuple)) = heavy_output.first().cloned() {
-            pq.push(Reverse(MergeEntry {
-                key,
-                tuple,
-                source: m,
-            }));
         }
 
         let mut stats = EnumStats::new();
         stats.record_reduce(rstats.passes, rstats.input_rows, rstats.output_rows);
-        // The materialised all-heavy output is part of this enumerator's
+        // The materialised all-heavy output is part of every cursor's
         // parked footprint, alongside the sub-enumerators' frontiers
         // (accounted in their own stats).
         let heavy_bytes: u64 = heavy_output
@@ -187,16 +160,87 @@ impl<R: Ranking + Clone> StarEnumerator<R> {
             .sum();
         stats.frontier_alloc(heavy_bytes, heavy_bytes);
 
-        Ok(StarEnumerator {
+        Ok(PreparedStar {
             ranking,
             projection,
             threshold,
             heavy: heavy_output,
+            subs,
+            stats,
+        })
+    }
+}
+
+/// Ranked enumerator for star queries with a tunable degree threshold: a
+/// cursor over a shared [`PreparedStar`].
+pub struct StarEnumerator<R: Ranking + Clone> {
+    prepared: Arc<PreparedStar<R>>,
+    heavy_cursor: usize,
+    /// One acyclic cursor per sub-query `Q_i`.
+    subs: Vec<AcyclicEnumerator<R>>,
+    pq: BinaryHeap<Reverse<MergeEntry<R::Key>>>,
+    stats: EnumStats,
+}
+
+impl<R: Ranking + Clone> StarEnumerator<R> {
+    /// Build the enumerator with an explicit degree threshold `δ ≥ 1`.
+    pub fn new(
+        query: &JoinProjectQuery,
+        db: &Database,
+        ranking: R,
+        threshold: usize,
+    ) -> Result<Self, EnumError> {
+        Self::new_ctx(query, db, ranking, threshold, &ExecContext::serial())
+    }
+
+    /// [`StarEnumerator::new`] with the preprocessing running under `ctx`
+    /// (see [`PreparedStar::prepare`]).
+    pub fn new_ctx(
+        query: &JoinProjectQuery,
+        db: &Database,
+        ranking: R,
+        threshold: usize,
+        ctx: &ExecContext,
+    ) -> Result<Self, EnumError> {
+        let prepared = PreparedStar::prepare(query, db, ranking, threshold, ctx)?;
+        Ok(Self::open(Arc::new(prepared)))
+    }
+
+    /// Open a cursor on a prepared part: one sub-query cursor per `Q_i`,
+    /// each seeded into the `(m+1)`-way merge together with the first
+    /// all-heavy answer.
+    pub fn open(prepared: Arc<PreparedStar<R>>) -> Self {
+        let mut subs: Vec<AcyclicEnumerator<R>> = prepared
+            .subs
+            .iter()
+            .map(|p| AcyclicEnumerator::open(Arc::clone(p)))
+            .collect();
+        let m = subs.len();
+        let mut pq = BinaryHeap::new();
+        for (i, sub) in subs.iter_mut().enumerate() {
+            if let Some(tuple) = sub.next() {
+                let key = prepared.ranking.key_of(&prepared.projection, &tuple);
+                pq.push(Reverse(MergeEntry {
+                    key,
+                    tuple,
+                    source: i,
+                }));
+            }
+        }
+        if let Some((key, tuple)) = prepared.heavy.first().cloned() {
+            pq.push(Reverse(MergeEntry {
+                key,
+                tuple,
+                source: m,
+            }));
+        }
+        StarEnumerator {
+            stats: prepared.stats.clone(),
+            prepared,
             heavy_cursor: 0,
             subs,
             pq,
-            stats,
-        })
+        }
     }
 
     /// Build the enumerator from the tradeoff parameter `ε ∈ [0, 1]` of
@@ -216,18 +260,18 @@ impl<R: Ranking + Clone> StarEnumerator<R> {
 
     /// The degree threshold δ in use.
     pub fn threshold(&self) -> usize {
-        self.threshold
+        self.prepared.threshold
     }
 
     /// Number of all-heavy answers materialised during preprocessing — the
     /// space side of the tradeoff.
     pub fn heavy_output_size(&self) -> usize {
-        self.heavy.len()
+        self.prepared.heavy.len()
     }
 
     /// The projection attributes, in output order.
     pub fn output_attrs(&self) -> &[Attr] {
-        &self.projection
+        &self.prepared.projection
     }
 
     /// Merge-level statistics (per-branch statistics live in the branches).
@@ -267,7 +311,10 @@ impl<R: Ranking + Clone> Iterator for StarEnumerator<R> {
         self.stats.record_pop();
         if entry.source < self.subs.len() {
             if let Some(tuple) = self.subs[entry.source].next() {
-                let key = self.ranking.key_of(&self.projection, &tuple);
+                let key = self
+                    .prepared
+                    .ranking
+                    .key_of(&self.prepared.projection, &tuple);
                 self.pq.push(Reverse(MergeEntry {
                     key,
                     tuple,
@@ -277,7 +324,7 @@ impl<R: Ranking + Clone> Iterator for StarEnumerator<R> {
             }
         } else {
             self.heavy_cursor += 1;
-            if let Some((key, tuple)) = self.heavy.get(self.heavy_cursor).cloned() {
+            if let Some((key, tuple)) = self.prepared.heavy.get(self.heavy_cursor).cloned() {
                 self.pq.push(Reverse(MergeEntry {
                     key,
                     tuple,

@@ -11,14 +11,19 @@
 //! All enumerators own their inputs (the full-reducer pass copies the
 //! relations they need out of the database), so a boxed stream can migrate
 //! freely between worker threads for as long as the session lives.
+//!
+//! [`PreparedStream`] is the type-erased view of the other half: the
+//! immutable result of an enumerator's preprocessing phase, shared behind
+//! an `Arc`, from which any number of streams can be opened without
+//! preprocessing again.
 
-use crate::acyclic::AcyclicEnumerator;
+use crate::acyclic::{AcyclicEnumerator, PreparedAcyclic};
 use crate::auto::{Algorithm, RankedEnumerator};
-use crate::cyclic::{CyclicEnumerator, GhdReport};
-use crate::lexi::LexiEnumerator;
+use crate::cyclic::{CyclicEnumerator, GhdReport, PreparedCyclic};
+use crate::lexi::{LexiEnumerator, PreparedLexi};
 use crate::stats::StatsSnapshot;
-use crate::union::UnionEnumerator;
-use re_exec::{CancelKind, CancelToken};
+use crate::union::{PreparedUnion, UnionEnumerator};
+use re_exec::{CancelKind, CancelToken, ExecContext};
 use re_obs::{saturating_nanos, AtomicHistogram, LocalHistogram, TimingBreakdown};
 use re_ranking::Ranking;
 use re_storage::{Attr, Tuple};
@@ -67,6 +72,62 @@ pub trait RankedStream: Iterator<Item = Tuple> + Send {
     /// `next()`. Raw enumerators never cancel.
     fn cancel_status(&self) -> Option<CancelKind> {
         None
+    }
+}
+
+/// The immutable, shareable result of an enumerator's preprocessing
+/// phase, type-erased. Opening a stream on it allocates only the cursor's
+/// private state (frontier growth, scratch buffers, memo cells, stats);
+/// everything preprocessing built is read through the shared `Arc`.
+pub trait PreparedStream: Send + Sync {
+    /// Open a fresh cursor. `ctx` is the cursor's own execution context:
+    /// work deferred to enumeration (the lexicographic engine's lazy index
+    /// builds) runs under it and its cancel token.
+    fn open_stream(self: Arc<Self>, ctx: &ExecContext) -> Box<dyn RankedStream>;
+
+    /// Bytes the prepared part retains (reduced relations, initial
+    /// frontier, materialised bags, built indexes). Lazily built shared
+    /// indexes make this grow, never shrink.
+    fn bytes(&self) -> u64;
+}
+
+impl<R: Ranking + Clone + 'static> PreparedStream for PreparedAcyclic<R> {
+    fn open_stream(self: Arc<Self>, _ctx: &ExecContext) -> Box<dyn RankedStream> {
+        Box::new(AcyclicEnumerator::open(self))
+    }
+
+    fn bytes(&self) -> u64 {
+        PreparedAcyclic::bytes(self)
+    }
+}
+
+impl<R: Ranking + Clone + 'static> PreparedStream for PreparedCyclic<R> {
+    fn open_stream(self: Arc<Self>, _ctx: &ExecContext) -> Box<dyn RankedStream> {
+        Box::new(CyclicEnumerator::open(self))
+    }
+
+    fn bytes(&self) -> u64 {
+        PreparedCyclic::bytes(self)
+    }
+}
+
+impl PreparedStream for PreparedLexi {
+    fn open_stream(self: Arc<Self>, ctx: &ExecContext) -> Box<dyn RankedStream> {
+        Box::new(LexiEnumerator::open(self, ctx))
+    }
+
+    fn bytes(&self) -> u64 {
+        PreparedLexi::bytes(self)
+    }
+}
+
+impl<R: Ranking + Clone + 'static> PreparedStream for PreparedUnion<R> {
+    fn open_stream(self: Arc<Self>, ctx: &ExecContext) -> Box<dyn RankedStream> {
+        Box::new(UnionEnumerator::open(self, ctx))
+    }
+
+    fn bytes(&self) -> u64 {
+        PreparedUnion::bytes(self)
     }
 }
 

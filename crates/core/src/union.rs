@@ -6,18 +6,18 @@
 //! stream is sorted by `(key, tuple)` — are suppressed with a last-answer
 //! check.
 
-use crate::acyclic::AcyclicEnumerator;
-use crate::cyclic::CyclicEnumerator;
+use crate::auto::prepare_ranked;
 use crate::error::EnumError;
 use crate::merge::MergeEntry;
 use crate::stats::{EnumStats, StatsSnapshot};
-use crate::stream::RankedStream;
+use crate::stream::{PreparedStream, RankedStream};
 use re_exec::ExecContext;
-use re_query::{Hypergraph, UnionQuery};
+use re_query::UnionQuery;
 use re_ranking::Ranking;
 use re_storage::{Attr, Database, Tuple};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// One merged input: either a full ranked enumerator (whose statistics
 /// stay observable) or an opaque sorted iterator supplied through
@@ -50,6 +50,41 @@ impl Iterator for BranchStream {
     }
 }
 
+/// The preprocessing phase of a UCQ, done once and shared: one prepared
+/// part per branch (see [`prepare_ranked`]).
+pub struct PreparedUnion<R: Ranking + Clone> {
+    ranking: R,
+    projection: Vec<Attr>,
+    branches: Vec<Arc<dyn PreparedStream>>,
+}
+
+impl<R: Ranking + Clone + 'static> PreparedUnion<R> {
+    /// Preprocess every branch under `ctx`: each acyclic branch for the
+    /// general algorithm, each cyclic one through a cost-based GHD.
+    pub fn prepare(
+        union: &UnionQuery,
+        db: &Database,
+        ranking: R,
+        ctx: &ExecContext,
+    ) -> Result<Self, EnumError> {
+        let branches = union
+            .branches()
+            .iter()
+            .map(|q| prepare_ranked(q, db, ranking.clone(), ctx))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(PreparedUnion {
+            ranking,
+            projection: union.projection().to_vec(),
+            branches,
+        })
+    }
+
+    /// Bytes retained by all branches' prepared parts.
+    pub fn bytes(&self) -> u64 {
+        self.branches.iter().map(|b| b.bytes()).sum()
+    }
+}
+
 /// Ranked enumerator for UCQs.
 pub struct UnionEnumerator<R: Ranking + Clone> {
     ranking: R,
@@ -62,36 +97,38 @@ pub struct UnionEnumerator<R: Ranking + Clone> {
 
 impl<R: Ranking + Clone + 'static> UnionEnumerator<R> {
     /// Build the enumerator for a UCQ: each acyclic branch gets an
-    /// [`AcyclicEnumerator`], each cyclic branch a [`CyclicEnumerator`] with
-    /// an automatically chosen GHD plan.
+    /// [`AcyclicEnumerator`](crate::AcyclicEnumerator), each cyclic branch
+    /// a [`CyclicEnumerator`](crate::CyclicEnumerator) with an
+    /// automatically chosen GHD plan.
     pub fn new(union: &UnionQuery, db: &Database, ranking: R) -> Result<Self, EnumError> {
         Self::new_ctx(union, db, ranking, &ExecContext::serial())
     }
 
     /// [`UnionEnumerator::new`] with every branch's preprocessing running
-    /// under `ctx` (see [`AcyclicEnumerator::new_ctx`]).
+    /// under `ctx`.
     pub fn new_ctx(
         union: &UnionQuery,
         db: &Database,
         ranking: R,
         ctx: &ExecContext,
     ) -> Result<Self, EnumError> {
-        let mut branches: Vec<BranchStream> = Vec::with_capacity(union.len());
-        for q in union.branches() {
-            if Hypergraph::of_query(q).is_acyclic() {
-                branches.push(BranchStream::Ranked(Box::new(AcyclicEnumerator::new_ctx(
-                    q,
-                    db,
-                    ranking.clone(),
-                    ctx,
-                )?)));
-            } else {
-                branches.push(BranchStream::Ranked(Box::new(
-                    CyclicEnumerator::new_auto_ctx(q, db, ranking.clone(), ctx)?,
-                )));
-            }
-        }
-        Ok(Self::merge(union.projection().to_vec(), ranking, branches))
+        let prepared = PreparedUnion::prepare(union, db, ranking, ctx)?;
+        Ok(Self::open(Arc::new(prepared), ctx))
+    }
+
+    /// Open a cursor on a prepared UCQ: one branch cursor per branch
+    /// (opened under `ctx`), seeded into the ranked merge.
+    pub fn open(prepared: Arc<PreparedUnion<R>>, ctx: &ExecContext) -> Self {
+        let branches = prepared
+            .branches
+            .iter()
+            .map(|b| BranchStream::Ranked(Arc::clone(b).open_stream(ctx)))
+            .collect();
+        Self::merge(
+            prepared.projection.clone(),
+            prepared.ranking.clone(),
+            branches,
+        )
     }
 
     /// Build the enumerator from already-constructed sorted iterators.

@@ -141,6 +141,15 @@ pub fn clear() {
     sites().clear();
 }
 
+/// Whether any failpoint is armed (one relaxed load once the environment
+/// spec has been read). Caches that would let a repeated request skip a
+/// failpoint site use this to take the uncached path while faults are
+/// being injected, so every armed site keeps firing on every request.
+pub fn armed() -> bool {
+    init_from_env();
+    ENABLED.load(Ordering::Relaxed)
+}
+
 /// Total number of faults injected (errors returned, panics thrown,
 /// sleeps slept) since process start. Monotone and process-global.
 pub fn injected_total() -> u64 {
@@ -296,6 +305,17 @@ mod tests {
         let _g = locked();
         clear();
         assert_eq!(fire("nowhere"), Ok(()));
+    }
+
+    #[test]
+    fn armed_tracks_configuration() {
+        let _g = locked();
+        clear();
+        assert!(!armed());
+        configure("some.site=sleep(0)").unwrap();
+        assert!(armed());
+        configure("").unwrap();
+        assert!(!armed());
     }
 
     #[test]

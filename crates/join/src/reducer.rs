@@ -6,7 +6,7 @@
 //! two sweeps of semi-joins over a join tree: a bottom-up pass
 //! (`parent ⋉ child`) followed by a top-down pass (`child ⋉ parent`).
 
-use crate::bind::bind_atoms;
+use crate::bind::bind_atom;
 use crate::error::JoinError;
 use crate::parallel::par_semi_join;
 use re_exec::ExecContext;
@@ -167,14 +167,14 @@ pub fn full_reduce_ctx(
     tree: &JoinTree,
     db: &Database,
 ) -> Result<(Vec<Relation>, ReduceStats), JoinError> {
-    let bound = bind_atoms(query, db)?;
-    // Reorder to node order (node i of an unpruned tree is atom i, but a
-    // pruned tree may have fewer nodes).
+    // Bind exactly the atoms the tree's nodes reference, in node order
+    // (node i of an unpruned tree is atom i, but a pruned tree may have
+    // fewer nodes): one copy of each base relation, moved into place.
     let mut relations: Vec<Relation> = tree
         .nodes()
         .iter()
-        .map(|n| bound[n.atom_index].clone())
-        .collect();
+        .map(|n| bind_atom(query, db, n.atom_index))
+        .collect::<Result<_, _>>()?;
     let stats = full_reduce_relations_ctx(ctx, tree, &mut relations)?;
     Ok((relations, stats))
 }

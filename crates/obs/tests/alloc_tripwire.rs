@@ -12,20 +12,31 @@
 
 use re_obs::{AtomicHistogram, LocalHistogram};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per thread: the test harness runs tests on parallel threads, and a
+    // process-wide count would charge one test with another's (and the
+    // harness's own) allocations. A const-initialised `Cell` needs no
+    // allocation or destructor, so the allocator may touch it.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with`: during thread teardown the slot may already be gone.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -37,8 +48,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made by the calling thread so far.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 #[test]

@@ -34,7 +34,7 @@ use std::hash::Hasher;
 /// This is the bound on [`Ranking::Key`](crate::Ranking::Key); every key
 /// type shipped by this crate implements it, as do the integer types (for
 /// tests and custom rankings).
-pub trait RankKey: Ord + Clone + Debug + Send {
+pub trait RankKey: Ord + Clone + Debug + Send + Sync {
     /// Hash of the key's representation. Identical representations must
     /// agree; `Ord`-equal keys with different representations may not
     /// (see the module docs for why that is sound).

@@ -21,17 +21,19 @@ use std::fmt::Debug;
 /// during the full-reducer pass), so a `Send` ranking is all it takes for a
 /// live enumerator to migrate between threads — which is what lets a query
 /// server keep enumerators alive as resumable cursors served by a worker
-/// pool. Every ranking in this crate satisfies the bound (weight tables are
-/// shared behind `Arc`).
-pub trait Ranking: Send {
+/// pool. `Sync` (on the ranking, its keys and plans) lets the immutable
+/// result of preprocessing be shared by cursors on several threads at
+/// once. Every ranking in this crate satisfies the bounds (weight tables
+/// are shared behind `Arc`).
+pub trait Ranking: Send + Sync {
     /// The key type; answers are enumerated in non-decreasing key order.
     /// The [`RankKey`] bound (a representation fingerprint plus a heap-byte
-    /// estimate on top of `Ord + Clone + Send`) is what lets the frontier
+    /// estimate on top of `Ord + Clone + Send + Sync`) is what lets the frontier
     /// kernel intern keys and account their memory.
     type Key: RankKey;
     /// A per-attribute-list plan, precomputed once per join-tree node so
     /// that key computation during enumeration is a constant-time loop.
-    type Plan: Clone + Debug + Send;
+    type Plan: Clone + Debug + Send + Sync;
 
     /// Precompute a key plan for tuples over `attrs` (in that order).
     fn plan(&self, attrs: &[Attr]) -> Self::Plan;

@@ -13,6 +13,10 @@ use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 type Entries = HashMap<String, (Arc<Database>, u64)>;
 
+/// Told about every replacement or removal of a registered name: the new
+/// generation, or `None` when the name was removed.
+type Listener = Box<dyn Fn(&str, Option<u64>) + Send + Sync>;
+
 /// A named registry of shared, immutable databases.
 ///
 /// Every registration — including a replacement under an existing name —
@@ -21,16 +25,37 @@ type Entries = HashMap<String, (Arc<Database>, u64)>;
 /// plan cache caches whole plans) must key on the generation too:
 /// re-registering a name may change the schema, and a plan built against
 /// the old schema silently binds columns positionally against the new one.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct Catalog {
     inner: RwLock<Entries>,
     generation: AtomicU64,
+    listener: Option<Listener>,
+}
+
+impl std::fmt::Debug for Catalog {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Catalog")
+            .field("names", &self.names())
+            .field("generation", &self.generation)
+            .finish()
+    }
 }
 
 impl Catalog {
     /// An empty catalog.
     pub fn new() -> Self {
         Catalog::default()
+    }
+
+    /// An empty catalog that calls `listener` after every registration
+    /// (with the new generation) and every removal (with `None`), outside
+    /// the catalog lock — how the server purges cache entries derived from
+    /// a replaced database.
+    pub fn with_listener(listener: impl Fn(&str, Option<u64>) + Send + Sync + 'static) -> Self {
+        Catalog {
+            listener: Some(Box::new(listener)),
+            ..Catalog::default()
+        }
     }
 
     /// Lock for reading, recovering from poisoning (entries are immutable
@@ -55,8 +80,13 @@ impl Catalog {
 
     /// Register (or replace) an already-shared database under `name`.
     pub fn register_shared(&self, name: impl Into<String>, db: Arc<Database>) {
+        let name = name.into();
         let generation = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
-        self.write().insert(name.into(), (db, generation));
+        let replaced = self.write().insert(name.clone(), (db, generation));
+        drop(replaced);
+        if let Some(listener) = &self.listener {
+            listener(&name, Some(generation));
+        }
     }
 
     /// The database registered under `name`, if any.
@@ -73,7 +103,11 @@ impl Catalog {
 
     /// Remove a database; sessions opened against it keep their snapshot.
     pub fn remove(&self, name: &str) -> bool {
-        self.write().remove(name).is_some()
+        let removed = self.write().remove(name).is_some();
+        if let (true, Some(listener)) = (removed, &self.listener) {
+            listener(name, None);
+        }
+        removed
     }
 
     /// The registered names, sorted.

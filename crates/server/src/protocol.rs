@@ -260,7 +260,10 @@ pub struct StatsReport {
     pub session_budget_bytes: u64,
     /// Frontier bytes currently retained by parked sessions.
     pub session_bytes_parked: u64,
-    /// Enumerators built (preprocessing passes run).
+    /// Cursors opened — one enumerator each, whether its prepared part
+    /// was built for it or reused from the plan cache (so this equals the
+    /// OPENs and QUERYs that got a cursor). Preprocessing passes are
+    /// `prepared_built`.
     pub enumerators_built: u64,
     /// Plan-cache hits.
     pub plan_cache_hits: u64,
@@ -268,6 +271,16 @@ pub struct StatsReport {
     pub plan_cache_misses: u64,
     /// Plans currently cached.
     pub plan_cache_size: u64,
+    /// Preprocessing passes run by OPEN/QUERY (cursors opened without a
+    /// cached prepared artifact).
+    pub prepared_built: u64,
+    /// Cursors opened on a cached prepared artifact (no preprocessing).
+    pub prepared_reused: u64,
+    /// Bytes of the prepared artifacts the plan cache currently holds.
+    pub prepared_bytes: u64,
+    /// Prepared artifacts dropped from the plan cache (byte cap, LRU
+    /// eviction of their plan, or a purge after re-registration).
+    pub prepared_evicted: u64,
     /// Threads of the shared preprocessing pool (1 = serial).
     pub exec_pool_threads: u64,
     /// Shape of the most recent GHD plan chosen for a cyclic statement,
@@ -543,6 +556,10 @@ impl Response {
                 ("plan_cache_hits", Json::UInt(report.plan_cache_hits)),
                 ("plan_cache_misses", Json::UInt(report.plan_cache_misses)),
                 ("plan_cache_size", Json::UInt(report.plan_cache_size)),
+                ("prepared_built", Json::UInt(report.prepared_built)),
+                ("prepared_reused", Json::UInt(report.prepared_reused)),
+                ("prepared_bytes", Json::UInt(report.prepared_bytes)),
+                ("prepared_evicted", Json::UInt(report.prepared_evicted)),
                 ("exec_pool_threads", Json::UInt(report.exec_pool_threads)),
                 ("ghd_last_plan", Json::Str(report.ghd_last_plan.clone())),
                 ("pq_pushes", Json::UInt(report.enumeration.pq_pushes)),
@@ -721,6 +738,10 @@ impl Response {
                 plan_cache_hits: u64_field("plan_cache_hits")?,
                 plan_cache_misses: u64_field("plan_cache_misses")?,
                 plan_cache_size: u64_field("plan_cache_size")?,
+                prepared_built: u64_field("prepared_built")?,
+                prepared_reused: u64_field("prepared_reused")?,
+                prepared_bytes: u64_field("prepared_bytes")?,
+                prepared_evicted: u64_field("prepared_evicted")?,
                 exec_pool_threads: u64_field("exec_pool_threads")?,
                 ghd_last_plan: str_field("ghd_last_plan")?,
                 enumeration: StatsSnapshot {
@@ -862,6 +883,10 @@ mod tests {
                 plan_cache_hits: 5,
                 plan_cache_misses: 6,
                 plan_cache_size: 7,
+                prepared_built: 31,
+                prepared_reused: 32,
+                prepared_bytes: 33,
+                prepared_evicted: 34,
                 exec_pool_threads: 8,
                 ghd_last_plan: "cycle-split(0,3) over 6 atoms".into(),
                 enumeration: StatsSnapshot {

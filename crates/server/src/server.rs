@@ -23,7 +23,7 @@ use re_obs::trace::TraceCtx;
 use re_obs::{
     saturating_nanos, AtomicHistogram, FieldValue, LabeledMetric, MetricKind, ScalarMetric,
 };
-use re_sql::{ExplainMode, OwnedSqlExecutor};
+use re_sql::{ExplainMode, OwnedSqlExecutor, QueryCursor};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -165,11 +165,18 @@ impl TransportStats {
 /// The shared state of the ranked-query service.
 pub struct RankedQueryServer {
     catalog: Catalog,
-    plan_cache: PlanCache,
+    /// Plans and the prepared artifacts cached with them (shared with the
+    /// catalog's listener, which purges a replaced database's entries).
+    plan_cache: Arc<PlanCache>,
     sessions: SessionTable,
     /// Enumeration work aggregated across every worker and session.
     enum_stats: SharedStats,
+    /// Cursors opened (every OPEN and QUERY that got a cursor).
     enumerators_built: AtomicU64,
+    /// Preprocessing passes run for OPEN/QUERY (plan-cache artifact misses).
+    prepared_built: AtomicU64,
+    /// Cursors opened on a cached prepared artifact.
+    prepared_reused: AtomicU64,
     /// Shape of the most recent GHD plan chosen for a cyclic statement
     /// (with its fallback annotation, if any); empty until one runs.
     ghd_last_plan: Mutex<String>,
@@ -218,12 +225,18 @@ impl RankedQueryServer {
             ExecContext::pooled(WorkerPool::new(threads))
         };
         let registry = re_obs::global();
+        let plan_cache = Arc::new(PlanCache::new(config.plan_cache_capacity));
+        let purge = Arc::clone(&plan_cache);
         Arc::new(RankedQueryServer {
-            catalog: Catalog::new(),
-            plan_cache: PlanCache::new(config.plan_cache_capacity),
+            catalog: Catalog::with_listener(move |name, generation| {
+                purge.purge(name, generation);
+            }),
+            plan_cache,
             sessions: SessionTable::with_budget(config.session_ttl, config.session_budget_bytes),
             enum_stats: SharedStats::new(),
             enumerators_built: AtomicU64::new(0),
+            prepared_built: AtomicU64::new(0),
+            prepared_reused: AtomicU64::new(0),
             ghd_last_plan: Mutex::new(String::new()),
             exec,
             slow_query_millis: config.slow_query_millis,
@@ -285,6 +298,10 @@ impl RankedQueryServer {
             plan_cache_hits: self.plan_cache.hits(),
             plan_cache_misses: self.plan_cache.misses(),
             plan_cache_size: self.plan_cache.len() as u64,
+            prepared_built: self.prepared_built.load(Ordering::Relaxed),
+            prepared_reused: self.prepared_reused.load(Ordering::Relaxed),
+            prepared_bytes: self.plan_cache.prepared_bytes(),
+            prepared_evicted: self.plan_cache.prepared_evicted(),
             exec_pool_threads: self.exec.threads() as u64,
             // Poison recovery, not skip: the stored value is a whole
             // `String` swapped in one assignment, so a panicking writer
@@ -731,15 +748,17 @@ impl RankedQueryServer {
     }
 
     /// Shared open path of `open` and `query`: catalog lookup, plan cache,
-    /// enumerator construction (the one preprocessing pass, run under the
-    /// cancel token when one is given). Failures come back as ready-made
-    /// responses, typed for cooperative cancellations.
+    /// then a cursor — opened on the statement's cached prepared artifact
+    /// when the plan's entry holds one, otherwise after the one
+    /// preprocessing pass (run under the cancel token when one is given).
+    /// Failures come back as ready-made responses, typed for cooperative
+    /// cancellations.
     fn open_cursor(
         &self,
         db_name: &str,
         sql: &str,
         token: Option<&CancelToken>,
-    ) -> Result<(re_sql::QueryCursor, String, bool), Response> {
+    ) -> Result<(QueryCursor, String, bool), Response> {
         let (db, generation) = self
             .catalog
             .get_versioned(db_name)
@@ -752,10 +771,32 @@ impl RankedQueryServer {
             Some(token) => self.exec.clone().with_cancel_token(token.clone()),
             None => self.exec.clone(),
         };
-        let executor = OwnedSqlExecutor::new(db).with_exec_context(exec);
-        let cursor = executor
-            .open_plan(&cached.plan)
-            .map_err(|e| self.classify_sql_error(e))?;
+        // While any failpoint is armed the artifact cache is bypassed both
+        // ways: a reused artifact would skip the preprocessing sites the
+        // faults target.
+        let cacheable = !re_fault::armed();
+        let cursor = match cached.prepared.as_ref().filter(|_| cacheable) {
+            Some(prepared) => {
+                self.prepared_reused.fetch_add(1, Ordering::Relaxed);
+                QueryCursor::open_prepared(prepared, &exec)
+            }
+            None => {
+                let executor = OwnedSqlExecutor::new(db).with_exec_context(exec);
+                let (cursor, prepared) = executor
+                    .prepare_and_open_plan(&cached.plan)
+                    .map_err(|e| self.classify_sql_error(e))?;
+                self.prepared_built.fetch_add(1, Ordering::Relaxed);
+                // Cache from the statement's second OPEN on (a plan-cache
+                // hit: a statement seen once is not known to repeat), and
+                // only a prepare that ran to completion — an error, panic
+                // or cancellation never gets here, and a token that tripped
+                // after the last check means the request is being torn down.
+                if cacheable && hit && token.is_none_or(|t| t.check().is_ok()) {
+                    self.plan_cache.store_prepared(&cached, prepared);
+                }
+                cursor
+            }
+        };
         self.enumerators_built.fetch_add(1, Ordering::Relaxed);
         // Count the preprocessing pass towards the shared metrics right
         // away (fetch deltas continue from this snapshot).
@@ -778,7 +819,7 @@ impl RankedQueryServer {
         db_name: &str,
         sql: &str,
         algorithm: &str,
-        cursor: &re_sql::QueryCursor,
+        cursor: &QueryCursor,
         trace_id: Option<&str>,
     ) {
         if self.slow_query_millis == 0 {
@@ -863,9 +904,33 @@ impl RankedQueryServer {
             ),
             (
                 "enumerators.built",
-                "Enumerators built (preprocessing passes).",
+                "Cursors opened (one enumerator each, fresh or on a cached prepared artifact).",
                 counter,
                 report.enumerators_built,
+            ),
+            (
+                "prepared.built",
+                "Preprocessing passes run by OPEN/QUERY.",
+                counter,
+                report.prepared_built,
+            ),
+            (
+                "prepared.reused",
+                "Cursors opened on a cached prepared artifact.",
+                counter,
+                report.prepared_reused,
+            ),
+            (
+                "prepared.bytes",
+                "Bytes of prepared artifacts held by the plan cache.",
+                gauge,
+                report.prepared_bytes,
+            ),
+            (
+                "prepared.evicted",
+                "Prepared artifacts dropped from the plan cache.",
+                counter,
+                report.prepared_evicted,
             ),
             (
                 "plan_cache.hits",

@@ -369,6 +369,10 @@ fn put_stats(out: &mut Vec<u8>, report: &StatsReport) {
     put_u64(out, report.plan_cache_hits);
     put_u64(out, report.plan_cache_misses);
     put_u64(out, report.plan_cache_size);
+    put_u64(out, report.prepared_built);
+    put_u64(out, report.prepared_reused);
+    put_u64(out, report.prepared_bytes);
+    put_u64(out, report.prepared_evicted);
     put_u64(out, report.exec_pool_threads);
     put_str(out, &report.ghd_last_plan);
     let e = &report.enumeration;
@@ -428,6 +432,10 @@ fn read_stats(r: &mut Reader<'_>) -> Result<StatsReport, String> {
     let plan_cache_hits = r.u64()?;
     let plan_cache_misses = r.u64()?;
     let plan_cache_size = r.u64()?;
+    let prepared_built = r.u64()?;
+    let prepared_reused = r.u64()?;
+    let prepared_bytes = r.u64()?;
+    let prepared_evicted = r.u64()?;
     let exec_pool_threads = r.u64()?;
     let ghd_last_plan = r.str()?;
     let enumeration = StatsSnapshot {
@@ -483,6 +491,10 @@ fn read_stats(r: &mut Reader<'_>) -> Result<StatsReport, String> {
         plan_cache_hits,
         plan_cache_misses,
         plan_cache_size,
+        prepared_built,
+        prepared_reused,
+        prepared_bytes,
+        prepared_evicted,
         exec_pool_threads,
         ghd_last_plan,
         enumeration,
@@ -737,6 +749,10 @@ mod tests {
             Response::Stats(Box::new(StatsReport {
                 sessions_open: 1,
                 sessions_opened: 2,
+                prepared_built: 3,
+                prepared_reused: 4,
+                prepared_bytes: 5,
+                prepared_evicted: 6,
                 ghd_last_plan: "cycle-split(0,3) over 6 atoms".into(),
                 transport: TransportCounters {
                     epoll_waits: 11,

@@ -8,20 +8,122 @@
 //! parked in a session table and resumed from any worker thread; two
 //! successive `fetch(k)` calls return exactly what a single-shot
 //! `LIMIT 2k` execution would, without re-running preprocessing.
+//!
+//! The preprocessing result is itself a value: [`PreparedQuery`] is the
+//! immutable, `Arc`-shared prepared part of a statement, and
+//! [`QueryCursor::open_prepared`] opens further cursors on it without
+//! preprocessing again — byte-identical to a cold open.
 
 use crate::error::SqlError;
 use crate::planner::{OrderSpec, PlannedQuery, SqlPlan};
 use rankedenum_core::{
-    lexi_serves, Algorithm, CancelKind, ExecContext, InstrumentedStream, LexiEnumerator,
-    RankedEnumerator, RankedStream, StatsSnapshot, TimingBreakdown, UnionEnumerator,
+    lexi_serves, prepare_ranked, Algorithm, CancelKind, ExecContext, InstrumentedStream,
+    PreparedLexi, PreparedStream, PreparedUnion, RankedStream, StatsSnapshot, TimingBreakdown,
 };
 use re_ranking::{LexRanking, Ranking, SumRanking, WeightAssignment, WeightedSumRanking};
 use re_storage::{Attr, Database, Tuple};
 use std::collections::BTreeSet;
+use std::sync::Arc;
+use std::time::Instant;
+
+/// The preprocessed, immutable half of a cursor: the enumerator's prepared
+/// part (see [`PreparedStream`]) plus what every cursor of the statement
+/// shares (output columns, `LIMIT`). Cheap to clone (one `Arc`); any
+/// number of cursors, on any threads, can be opened on it with
+/// [`QueryCursor::open_prepared`] without preprocessing again. It borrows
+/// nothing: the database (or working set) it was prepared from can be
+/// dropped.
+#[derive(Clone)]
+pub struct PreparedQuery {
+    inner: Arc<PreparedInner>,
+}
+
+struct PreparedInner {
+    columns: Vec<String>,
+    stream: Arc<dyn PreparedStream>,
+    limit: Option<usize>,
+}
+
+impl PreparedQuery {
+    /// Run the preprocessing phase of an already-planned statement over
+    /// `db` under `ctx`. `db` must already contain the plan's derived
+    /// relations (see [`SqlPlan::instantiate`]).
+    pub fn prepare(
+        db: &Database,
+        weights: &WeightAssignment,
+        plan: &SqlPlan,
+        ctx: &ExecContext,
+    ) -> Result<Self, SqlError> {
+        let projection: &[Attr] = match &plan.query {
+            PlannedQuery::Single(q) => q.projection(),
+            PlannedQuery::Union(u) => u.projection(),
+        };
+        let stream: Arc<dyn PreparedStream> = match &plan.order {
+            None => prepare_stream(plan, db, SumRanking::new(weights.clone()), ctx)?,
+            Some(OrderSpec::Sum(attrs)) => {
+                let listed: BTreeSet<&Attr> = attrs.iter().collect();
+                let all: BTreeSet<&Attr> = projection.iter().collect();
+                if listed == all {
+                    prepare_stream(plan, db, SumRanking::new(weights.clone()), ctx)?
+                } else {
+                    prepare_stream(
+                        plan,
+                        db,
+                        WeightedSumRanking::over_attrs(attrs.clone(), weights.clone()),
+                        ctx,
+                    )?
+                }
+            }
+            Some(OrderSpec::Lex(items)) => {
+                let lex = LexRanking::with_directions(items.clone(), weights.clone());
+                let declared: Vec<Attr> = items.iter().map(|(a, _)| a.clone()).collect();
+                match &plan.query {
+                    // Lexicographic orders on acyclic single queries take
+                    // the index-backed Algorithm 3 — the fast path since
+                    // its PR 4 rebuild (no priority queues, memoized
+                    // candidate cells, cursor-bump delay).
+                    PlannedQuery::Single(q) if lexi_serves(q, &declared) => {
+                        Arc::new(PreparedLexi::prepare(q, db, &lex, ctx)?)
+                    }
+                    _ => prepare_stream(plan, db, lex, ctx)?,
+                }
+            }
+        };
+        Ok(PreparedQuery {
+            inner: Arc::new(PreparedInner {
+                columns: projection.iter().map(|a| a.as_str().to_string()).collect(),
+                stream,
+                limit: plan.limit,
+            }),
+        })
+    }
+
+    /// Bytes the prepared part retains (see [`PreparedStream::bytes`]).
+    pub fn bytes(&self) -> u64 {
+        self.inner.stream.bytes()
+    }
+
+    /// Whether no cursor (or other handle) shares this prepared part.
+    pub fn is_idle(&self) -> bool {
+        Arc::strong_count(&self.inner) == 1
+    }
+}
+
+impl std::fmt::Debug for PreparedQuery {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PreparedQuery")
+            .field("columns", &self.inner.columns)
+            .field("limit", &self.inner.limit)
+            .field("bytes", &self.bytes())
+            .finish()
+    }
+}
 
 /// A live, resumable ranked enumeration of a planned SQL statement.
 pub struct QueryCursor {
-    columns: Vec<String>,
+    /// Keeps the shared prepared part alive (and visibly in use) for as
+    /// long as the cursor lives.
+    prepared: PreparedQuery,
     stream: Box<dyn RankedStream>,
     /// Rows still allowed by the statement's `LIMIT` (`None`: unlimited).
     remaining: Option<usize>,
@@ -46,76 +148,72 @@ impl QueryCursor {
     /// [`QueryCursor::open`] with the enumerator's preprocessing pass
     /// running under `ctx` — a pooled context parallelises the full
     /// reducer and GHD bag materialisation without changing any output.
+    /// Always preprocesses: this is [`PreparedQuery::prepare`] followed by
+    /// [`QueryCursor::open_prepared`].
     pub fn open_ctx(
         db: &Database,
         weights: &WeightAssignment,
         plan: &SqlPlan,
         ctx: &ExecContext,
     ) -> Result<Self, SqlError> {
-        let projection: Vec<Attr> = match &plan.query {
-            PlannedQuery::Single(q) => q.projection().to_vec(),
-            PlannedQuery::Union(u) => u.projection().to_vec(),
-        };
-        let columns: Vec<String> = projection.iter().map(|a| a.as_str().to_string()).collect();
+        Ok(Self::prepare_and_open(db, weights, plan, ctx)?.0)
+    }
+
+    /// [`QueryCursor::open_ctx`] that also hands back the prepared part,
+    /// so a caller can cache it and open later cursors on it. The cursor's
+    /// timing covers the preprocessing: its open duration and the phase
+    /// spans that closed on this thread while it ran.
+    pub fn prepare_and_open(
+        db: &Database,
+        weights: &WeightAssignment,
+        plan: &SqlPlan,
+        ctx: &ExecContext,
+    ) -> Result<(Self, PreparedQuery), SqlError> {
         // Time the whole open and capture the preprocessing spans that
         // close on this thread, so the cursor can report an exact phase
         // breakdown (and the server a slow-query log line).
-        let opened_at = std::time::Instant::now();
-        let (stream, phases) =
-            re_obs::capture_phases(|| -> Result<Box<dyn RankedStream>, SqlError> {
-                Ok(match &plan.order {
-                    None => open_stream(plan, db, SumRanking::new(weights.clone()), ctx)?,
-                    Some(OrderSpec::Sum(attrs)) => {
-                        let listed: BTreeSet<&Attr> = attrs.iter().collect();
-                        let all: BTreeSet<&Attr> = projection.iter().collect();
-                        if listed == all {
-                            open_stream(plan, db, SumRanking::new(weights.clone()), ctx)?
-                        } else {
-                            open_stream(
-                                plan,
-                                db,
-                                WeightedSumRanking::over_attrs(attrs.clone(), weights.clone()),
-                                ctx,
-                            )?
-                        }
-                    }
-                    Some(OrderSpec::Lex(items)) => {
-                        let lex = LexRanking::with_directions(items.clone(), weights.clone());
-                        let declared: Vec<Attr> = items.iter().map(|(a, _)| a.clone()).collect();
-                        match &plan.query {
-                            // Lexicographic orders on acyclic single queries take
-                            // the index-backed Algorithm 3 — the fast path since
-                            // its PR 4 rebuild (no priority queues, memoized
-                            // candidate cells, cursor-bump delay).
-                            PlannedQuery::Single(q) if lexi_serves(q, &declared) => {
-                                Box::new(LexiEnumerator::new_ctx(q, db, &lex, ctx)?)
-                            }
-                            _ => open_stream(plan, db, lex, ctx)?,
-                        }
-                    }
-                })
-            });
+        let opened_at = Instant::now();
+        let (prepared, phases) =
+            re_obs::capture_phases(|| PreparedQuery::prepare(db, weights, plan, ctx));
+        let prepared = prepared?;
+        let cursor = Self::open_at(&prepared, ctx, opened_at, phases);
+        Ok((cursor, prepared))
+    }
+
+    /// Open a cursor on a prepared statement: no preprocessing, only the
+    /// cursor's private state is allocated. `ctx` is the cursor's own
+    /// context — its cancel token stops this cursor's enumeration (and
+    /// deferred index builds), never another cursor's.
+    pub fn open_prepared(prepared: &PreparedQuery, ctx: &ExecContext) -> Self {
+        Self::open_at(prepared, ctx, Instant::now(), Vec::new())
+    }
+
+    fn open_at(
+        prepared: &PreparedQuery,
+        ctx: &ExecContext,
+        opened_at: Instant,
+        phases: Vec<(String, u64)>,
+    ) -> Self {
+        let stream = Arc::clone(&prepared.inner.stream).open_stream(ctx);
         // Thread the context's cancel token (when present) into the
         // stream wrapper, so a deadline or explicit cancel also stops the
         // enumeration phase — preprocessing already checks it per morsel.
-        let mut instrumented = InstrumentedStream::new(stream?, opened_at, phases);
+        let mut instrumented = InstrumentedStream::new(stream, opened_at, phases);
         if let Some(token) = ctx.cancel_token() {
             instrumented = instrumented.with_cancel_token(token.clone());
         }
-        let stream = Box::new(instrumented);
-        Ok(QueryCursor {
-            columns,
-            stream,
-            remaining: plan.limit,
+        QueryCursor {
+            prepared: prepared.clone(),
+            stream: Box::new(instrumented),
+            remaining: prepared.inner.limit,
             exhausted: false,
-        })
+        }
     }
 
     /// Output column names (canonical projection attribute names).
     pub fn columns(&self) -> &[String] {
-        &self.columns
+        &self.prepared.inner.columns
     }
-
     /// The projection attributes, in output order.
     pub fn output_attrs(&self) -> &[Attr] {
         self.stream.output_attrs()
@@ -217,15 +315,15 @@ impl QueryCursor {
     }
 }
 
-fn open_stream<R: Ranking + Clone + 'static>(
+fn prepare_stream<R: Ranking + Clone + 'static>(
     plan: &SqlPlan,
     db: &Database,
     ranking: R,
     ctx: &ExecContext,
-) -> Result<Box<dyn RankedStream>, SqlError> {
+) -> Result<Arc<dyn PreparedStream>, SqlError> {
     Ok(match &plan.query {
-        PlannedQuery::Single(q) => Box::new(RankedEnumerator::new_ctx(q, db, ranking, ctx)?),
-        PlannedQuery::Union(u) => Box::new(UnionEnumerator::new_ctx(u, db, ranking, ctx)?),
+        PlannedQuery::Single(q) => prepare_ranked(q, db, ranking, ctx)?,
+        PlannedQuery::Union(u) => Arc::new(PreparedUnion::prepare(u, db, ranking, ctx)?),
     })
 }
 

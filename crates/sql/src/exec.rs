@@ -1,7 +1,7 @@
 //! Execution: run a SQL statement through the ranked enumeration engine.
 
 use crate::ast::ExplainMode;
-use crate::cursor::QueryCursor;
+use crate::cursor::{PreparedQuery, QueryCursor};
 use crate::error::SqlError;
 use crate::explain::{explain_analyze, explain_plan};
 use crate::parser::{parse, parse_input};
@@ -114,7 +114,7 @@ impl<'a> SqlExecutor<'a> {
 
     /// Open a cursor on an already-planned statement.
     pub fn open_plan(&self, plan: &SqlPlan) -> Result<QueryCursor, SqlError> {
-        open_plan_on(self.db, &self.weights, plan, &ExecContext::serial())
+        Ok(open_plan_on(self.db, &self.weights, plan, &ExecContext::serial())?.0)
     }
 
     /// Parse any top-level input and dispatch it: plain statements run to
@@ -245,6 +245,16 @@ impl OwnedSqlExecutor {
 
     /// Open a cursor on an already-planned (possibly cached) statement.
     pub fn open_plan(&self, plan: &SqlPlan) -> Result<QueryCursor, SqlError> {
+        Ok(self.prepare_and_open_plan(plan)?.0)
+    }
+
+    /// [`OwnedSqlExecutor::open_plan`] that also hands back the cursor's
+    /// prepared part, for callers that cache it and open later cursors on
+    /// it with [`QueryCursor::open_prepared`].
+    pub fn prepare_and_open_plan(
+        &self,
+        plan: &SqlPlan,
+    ) -> Result<(QueryCursor, PreparedQuery), SqlError> {
         open_plan_on(&self.db, &self.weights, plan, &self.exec)
     }
 
@@ -286,7 +296,7 @@ fn run_plan_on(
     plan: &SqlPlan,
     ctx: &ExecContext,
 ) -> Result<QueryResult, SqlError> {
-    let mut cursor = open_plan_on(db, weights, plan, ctx)?;
+    let (mut cursor, _) = open_plan_on(db, weights, plan, ctx)?;
     let rows = cursor.fetch_all();
     Ok(QueryResult {
         columns: cursor.columns().to_vec(),
@@ -304,15 +314,17 @@ fn run_plan_on(
 /// referenced base relations plus the materialised filters) otherwise, so
 /// open cost scales with the queried relations, not the whole catalog
 /// entry.
+/// The cursor comes with its prepared part, which outlives the working
+/// database too.
 pub(crate) fn open_plan_on(
     db: &Database,
     weights: &WeightAssignment,
     plan: &SqlPlan,
     ctx: &ExecContext,
-) -> Result<QueryCursor, SqlError> {
+) -> Result<(QueryCursor, PreparedQuery), SqlError> {
     match plan.working_database(db)? {
-        None => QueryCursor::open_ctx(db, weights, plan, ctx),
-        Some(working) => QueryCursor::open_ctx(&working, weights, plan, ctx),
+        None => QueryCursor::prepare_and_open(db, weights, plan, ctx),
+        Some(working) => QueryCursor::prepare_and_open(&working, weights, plan, ctx),
     }
 }
 

@@ -81,7 +81,7 @@ pub fn explain_analyze(
     let pool_before = ctx.pool_stats();
     let (rows_emitted, mut snapshot, timing, report) = {
         let _guard = re_obs::trace::install(&trace_ctx, 0);
-        let mut cursor = open_plan_on(db, weights, plan, ctx)?;
+        let (mut cursor, _) = open_plan_on(db, weights, plan, ctx)?;
         let rows = cursor.fetch_all();
         (
             rows.len(),

@@ -58,7 +58,7 @@ pub mod token;
 pub use ast::{
     ColumnRef, ExplainMode, OrderBy, Predicate, SelectStatement, SqlInput, Statement, TableRef,
 };
-pub use cursor::QueryCursor;
+pub use cursor::{PreparedQuery, QueryCursor};
 pub use error::SqlError;
 pub use exec::{query, OwnedSqlExecutor, QueryResult, SqlExecutor, SqlOutput};
 pub use explain::{explain_analyze, explain_plan, explain_query};

@@ -100,10 +100,12 @@ pub mod scale {
 /// concurrent settings.
 pub mod prelude {
     pub use rankedenum_core::{
-        lexi_serves, select, select_ranked, top_k, AcyclicEnumerator, Algorithm, CyclicEnumerator,
-        EnumError, EnumStats, GhdReport, HistSnapshot, InstrumentedStream, LexiEnumerator,
-        LocalHistogram, RankedEnumerator, RankedStream, ReferenceAcyclic, ReferenceLexi,
-        SharedStats, StarEnumerator, StatsSnapshot, TimingBreakdown, UnionEnumerator,
+        lexi_serves, prepare_ranked, select, select_ranked, top_k, AcyclicEnumerator, Algorithm,
+        CyclicEnumerator, EnumError, EnumStats, GhdReport, HistSnapshot, InstrumentedStream,
+        LexiEnumerator, LocalHistogram, PreparedAcyclic, PreparedCyclic, PreparedLexi,
+        PreparedStar, PreparedStream, PreparedUnion, RankedEnumerator, RankedStream,
+        ReferenceAcyclic, ReferenceLexi, SharedStats, StarEnumerator, StatsSnapshot,
+        TimingBreakdown, UnionEnumerator,
     };
     pub use re_baseline::{BfsSortEngine, FullAnyKEngine, MaterializeSortEngine};
     pub use re_exec::{ExecContext, PoolStats, WorkerPool};
@@ -119,7 +121,9 @@ pub mod prelude {
     pub use re_server::{
         serve, Catalog, LocalClient, RankedQueryServer, ServerConfig, TcpClient, Transport,
     };
-    pub use re_sql::{query as sql_query, OwnedSqlExecutor, QueryCursor, SqlExecutor};
+    pub use re_sql::{
+        query as sql_query, OwnedSqlExecutor, PreparedQuery, QueryCursor, SqlExecutor,
+    };
     pub use re_storage::attr::attrs;
     pub use re_storage::{Attr, Database, Relation, Tuple, Value};
 }

@@ -182,7 +182,8 @@ proptest! {
             .unwrap();
         let ranking = SumRanking::value_sum();
         let reference = reference_answers(&query, &db, &ranking);
-        let answers: Vec<Tuple> = CyclicEnumerator::new_auto(&query, &db, ranking.clone())
+        // A cyclic query: the dispatcher routes it through a cost-based GHD.
+        let answers: Vec<Tuple> = RankedEnumerator::new(&query, &db, ranking.clone())
             .unwrap()
             .collect();
         assert_valid_ranked_output(&answers, &reference, &query, &ranking);
